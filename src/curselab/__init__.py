@@ -28,10 +28,12 @@ from .geometry import (
     solve_p_star,
 )
 from .hull import (
+    BatchProjection,
     HullProjection,
     PointSet,
     dist_to_neighborhood,
     elekes_cover_check,
+    project_batch,
     project_onto_hull,
     project_onto_neighborhood,
     within_distance,
@@ -50,6 +52,7 @@ from .volume import (
 from .fooling import (
     AlphaSequence,
     FoolingFunction,
+    FoolingValues,
     ProfileP,
     certificate,
     fooling_c0,
@@ -57,6 +60,7 @@ from .fooling import (
     fooling_c1,
     fooling_c1_eval,
     fooling_cinf,
+    fooling_eval_batch,
     fooling_smoothed,
     make_alpha_sequence,
     profile_eval,

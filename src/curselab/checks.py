@@ -17,12 +17,12 @@ from .bounds import ub_one_point_c0, ub_taylor
 from .fooling import (
     fooling_c0,
     fooling_c1,
-    fooling_c1_eval,
+    fooling_eval_batch,
     make_alpha_sequence,
     smoothed_eval,
 )
 from .geometry import DomainSpec
-from .hull import PointSet, project_onto_hull
+from .hull import PointSet, project_batch
 from .quadrature import (
     Integrand,
     make_sine_integrand,
@@ -79,11 +79,8 @@ def _certified_far_points(
     while len(out) < count and attempts < 200:
         attempts += 1
         cand = dom.sample(rng, max(64, count))
-        for x in cand:
-            if project_onto_hull(x, ps).distance > threshold * (1.0 + margin):
-                out.append(x)
-                if len(out) == count:
-                    break
+        far = project_batch(ps, cand).distance > threshold * (1.0 + margin)
+        out.extend(cand[far][: count - len(out)])
     if len(out) < count:
         raise RuntimeError("could not find enough points far from the hull")
     return np.asarray(out)
@@ -134,7 +131,8 @@ def fool_check_c1(
     40/(delta^2 d); exact zero on sampled neighborhood points; exact one
     on points certified beyond the double neighborhood; and agreement of
     the analytic gradient with central differences away from the ramp
-    breakpoints (relative error at most 1e-5 at step 1e-5 sqrt(d)).
+    breakpoints and from changes of the hull face (relative error at
+    most 1e-5 at step 1e-5 sqrt(d)).
     """
     dom = DomainSpec.cube(d)
     ps = random_point_set(dom, n, seed)
@@ -162,14 +160,8 @@ def fool_check_c1(
     x = np.vstack([x, x_ramp])
     y = np.vstack([y, y_ramp])
 
-    total = pairs + extra
-    vals_x = np.empty(total)
-    vals_y = np.empty(total)
-    grads_x = np.empty((total, d))
-    grads_y = np.empty((total, d))
-    for i in range(total):
-        vals_x[i], grads_x[i] = fooling_c1_eval(ps, delta, x[i])
-        vals_y[i], grads_y[i] = fooling_c1_eval(ps, delta, y[i])
+    vals_x, grads_x = fooling_eval_batch(ps, x, delta=delta)[:2]
+    vals_y, grads_y = fooling_eval_batch(ps, y, delta=delta)[:2]
     gaps = np.maximum(np.linalg.norm(x - y, axis=1), 1e-300)
     max_q = float((np.abs(vals_x - vals_y) / gaps).max())
     max_gq = float((np.linalg.norm(grads_x - grads_y, axis=1) / gaps).max())
@@ -189,11 +181,20 @@ def fool_check_c1(
     # ramp profile is only piecewise smooth, and near its inner boundary
     # the hull-distance curvature (order 1/r) makes the truncation error
     # of the pinned step exceed the tolerance even for an exact gradient.
+    # A stencil must also stay on one piece of the ramp and on one face of
+    # the hull: moving by the step changes the distance by at most the
+    # step, so points within a step of a breakpoint gap (sqrt(t1) = r/2,
+    # sqrt(t2) = r) are excluded, and so are points whose stencil changes
+    # the projection's active set, since the hull distance's second
+    # derivative jumps there.
     rng_grad = substream(seed, 4)
     step = 1e-5 * math.sqrt(d)
-    t1, t2 = (delta * delta * d / 4.0, delta * delta * d)
+    root_breaks = np.array([r / 2.0, r])
+    offsets = step * np.vstack([np.eye(d), -np.eye(d)])
     checked = 0
     max_rel = 0.0
+    near_breakpoint = 0
+    support_changes = 0
     attempts = 0
     while checked < grad_points and attempts < 50:
         attempts += 1
@@ -202,34 +203,41 @@ def fool_check_c1(
         # same point, so sliding along the ray sets the distance exactly.
         anchors = dom.sample(rng_grad, 4 * grad_points)
         targets = r * (1.0 + rng_grad.uniform(0.3, 0.7, size=4 * grad_points))
-        for anchor, target in zip(anchors, targets):
-            proj = project_onto_hull(anchor, ps)
-            if proj.distance <= target:
+        proj = project_batch(ps, anchors)
+        far = proj.distance > targets
+        u = (anchors[far] - proj.nearest[far]) / proj.distance[far, None]
+        points = proj.nearest[far] + targets[far, None] * u
+        centre = fooling_eval_batch(ps, points, delta=delta)
+        gap = centre.projection.distance - r
+        on_ramp = np.flatnonzero((0.25 * r <= gap) & (gap <= 0.8 * r))
+        breaks = np.abs(gap[on_ramp, None] - root_breaks).min(axis=1) <= step
+        stencil_rows = on_ramp[~breaks]
+        nodes = (points[stencil_rows, None, :] + offsets).reshape(-1, d)
+        stencil = fooling_eval_batch(ps, nodes, delta=delta, gradients=False)
+        values = stencil.values.reshape(-1, 2, d)
+        fd = (values[:, 0] - values[:, 1]) / (2.0 * step)
+        grad = centre.gradients[stencil_rows]
+        rel = np.linalg.norm(fd - grad, axis=1) / np.maximum(
+            np.linalg.norm(grad, axis=1), 1e-300
+        )
+        active = stencil.projection.active.reshape(-1, 2 * d, ps.n)
+        same_face = np.all(
+            active == centre.projection.active[stencil_rows, None, :], axis=(1, 2)
+        )
+        # Visit the candidates in draw order until enough are checked.
+        k = 0
+        for excluded in breaks:
+            if excluded:
+                near_breakpoint += 1
                 continue
-            u = (anchor - proj.nearest) / proj.distance
-            point = proj.nearest + target * u
-            gap = project_onto_hull(point, ps).distance - r
-            if not 0.25 * r <= gap <= 0.8 * r:
-                continue
-            phi = gap * gap
-            if abs(phi - t1) < 1e-3 * t2 or abs(phi - t2) < 1e-3 * t2:
-                continue
-            _, grad = fooling_c1_eval(ps, delta, point)
-            fd = np.empty(d)
-            for axis in range(d):
-                e = np.zeros(d)
-                e[axis] = step
-                fd[axis] = (
-                    fooling_c1_eval(ps, delta, point + e)[0]
-                    - fooling_c1_eval(ps, delta, point - e)[0]
-                ) / (2.0 * step)
-            rel = float(
-                np.linalg.norm(fd - grad) / max(np.linalg.norm(grad), 1e-300)
-            )
-            max_rel = max(max_rel, rel)
-            checked += 1
-            if checked == grad_points:
-                break
+            if not same_face[k]:
+                support_changes += 1
+            else:
+                max_rel = max(max_rel, float(rel[k]))
+                checked += 1
+                if checked == grad_points:
+                    break
+            k += 1
 
     results = {
         "variant": "c1",
@@ -248,6 +256,8 @@ def fool_check_c1(
         "ones_pass": ones_exact == one_points,
         "grad_fd_max_rel_err": max_rel,
         "grad_fd_points": checked,
+        "grad_fd_near_breakpoint": near_breakpoint,
+        "grad_fd_support_changes": support_changes,
         "grad_fd_pass": checked > 0 and max_rel <= 1e-5,
         "range_pass": range_pass,
     }

@@ -118,6 +118,26 @@ def _emit_plot(rows: list[tuple], path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Argument types
+
+
+def _finite_float(text: str) -> float:
+    """Argument type: a finite float; NaN and infinities are invalid."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _exponent(text: str) -> float:
+    """Argument type for p: a finite float, or 'inf'/'oo'."""
+    return math.inf if text in ("inf", "oo") else _finite_float(text)
+
+
+# ---------------------------------------------------------------------------
 # Config handling
 
 
@@ -146,7 +166,10 @@ def _coerce_config(config: dict, parser: argparse.ArgumentParser) -> dict:
         if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
             coerced[key] = raw.lower() in ("1", "true", "yes", "on")
         elif action.type is not None:
-            coerced[key] = action.type(raw)
+            try:
+                coerced[key] = action.type(raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise CliError(f"config key {key!r}: {exc}") from None
         else:
             coerced[key] = raw
     return coerced
@@ -162,8 +185,10 @@ def _parse_domain(name: str, d: int) -> geo.DomainSpec:
     if name == "cube":
         return geo.DomainSpec.cube(d)
     if name.startswith("lp:"):
-        token = name[3:]
-        p = math.inf if token in ("inf", "oo") else float(token)
+        try:
+            p = _exponent(name[3:])
+        except argparse.ArgumentTypeError as exc:
+            raise CliError(f"domain {name!r}: {exc}") from None
         return geo.DomainSpec.lp_ball(p, d)
     raise CliError(f"unknown domain {name!r} (use 'cube' or 'lp:<p>')")
 
@@ -177,7 +202,14 @@ def _parse_levels(text: str) -> list[tuple[float, float]]:
         if ":" not in token:
             raise CliError(f"level {token!r} must be constant:exponent")
         c, _, e = token.partition(":")
-        levels.append((float(c), float(e)))
+        name = f"level {len(levels)} ({token!r})"
+        try:
+            c, e = _finite_float(c), _finite_float(e)
+        except argparse.ArgumentTypeError as exc:
+            raise CliError(f"{name}: {exc}") from None
+        if c <= 0.0:
+            raise CliError(f"{name}: the constant must be positive")
+        levels.append((c, e))
     if not levels:
         raise CliError("at least one level is required")
     return levels
@@ -289,7 +321,7 @@ def _run_volume(args):
         "bound_source": est.bound_source,
         "pass": est.passed,
     }
-    plot_rows = [(args.delta, est.mean, math.exp(est.bound_log))]
+    plot_rows = [(args.delta, est.mean, est.bound)]
     return results, est.passed, plot_rows, None
 
 
@@ -445,6 +477,9 @@ def _run_classify(args):
     kind = args.kind
     if args.k == "inf":
         _require(args, "level0", "tail_constant")
+        for name in ("tail_constant", "tail_base"):
+            if getattr(args, name) <= 0.0:
+                raise CliError(f"--{name.replace('_', '-')} must be positive")
         c0, e0 = _parse_levels(args.level0)[0]
         tail = bd.TailRule(
             log_constant=math.log(args.tail_constant),
@@ -494,12 +529,12 @@ def build_parser() -> _Parser:
     p.add_argument("--radius", action="store_true")
     p.add_argument("--limit-ratio", action="store_true")
     p.add_argument("--ball-volume", action="store_true")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--p", type=lambda s: math.inf if s in ("inf", "oo") else float(s))
+    p.add_argument("--delta", type=_finite_float)
+    p.add_argument("--eta", type=_finite_float)
+    p.add_argument("--p", type=_exponent)
     p.add_argument("--d", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--check-below", type=float)
+    p.add_argument("--tol", type=_finite_float)
+    p.add_argument("--check-below", type=_finite_float)
     p.set_defaults(run=_run_constants)
 
     p = sub.add_parser("volume", help="Monte Carlo volume vs analytic bound")
@@ -508,7 +543,7 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--points-csv", default=None)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--delta", type=_finite_float)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
     p.set_defaults(run=_run_volume)
@@ -518,8 +553,8 @@ def build_parser() -> _Parser:
     p.add_argument("--variant", choices=("c0", "c1"), default="c1")
     p.add_argument("--d", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--lipschitz", type=float)
+    p.add_argument("--delta", type=_finite_float)
+    p.add_argument("--lipschitz", type=_finite_float)
     p.add_argument("--pairs", type=int, default=2000)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int)
@@ -529,7 +564,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--d", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--delta", type=_finite_float)
     p.add_argument("--k", type=int)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
@@ -540,11 +575,11 @@ def build_parser() -> _Parser:
     p.add_argument("--algorithm", choices=("taylor", "one-point"), default="taylor")
     p.add_argument("--d", type=int)
     p.add_argument("--j", type=int)
-    p.add_argument("--amplitude", type=float, default=0.1)
-    p.add_argument("--a-norm", type=float, default=1.0)
-    p.add_argument("--lipschitz", type=float)
+    p.add_argument("--amplitude", type=_finite_float, default=0.1)
+    p.add_argument("--a-norm", type=_finite_float, default=1.0)
+    p.add_argument("--lipschitz", type=_finite_float)
     p.add_argument("--fd", action="store_true", help="use finite differences")
-    p.add_argument("--h", type=float)
+    p.add_argument("--h", type=_finite_float)
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--seed", type=int)
     p.set_defaults(run=_run_quad)
@@ -553,23 +588,23 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--which", required=False)
     p.add_argument("--d", type=int)
-    p.add_argument("--eps", type=float)
+    p.add_argument("--eps", type=_finite_float)
     p.add_argument("--d-list", type=lambda s: [int(t) for t in s.split(",") if t])
-    p.add_argument("--eps-list", type=lambda s: [float(t) for t in s.split(",") if t])
-    p.add_argument("--lip", type=float, default=1.0)
-    p.add_argument("--lip-grad", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--growth", type=float, default=1.1)
-    p.add_argument("--big-r", type=float, default=0.5)
-    p.add_argument("--tail", type=float, default=0.0)
-    p.add_argument("--diam", type=float)
+    p.add_argument("--eps-list", type=lambda s: [_finite_float(t) for t in s.split(",") if t])
+    p.add_argument("--lip", type=_finite_float, default=1.0)
+    p.add_argument("--lip-grad", type=_finite_float, default=1.0)
+    p.add_argument("--a", type=_finite_float, default=1.0)
+    p.add_argument("--c", type=_finite_float, default=1.0)
+    p.add_argument("--growth", type=_finite_float, default=1.1)
+    p.add_argument("--big-r", type=_finite_float, default=0.5)
+    p.add_argument("--tail", type=_finite_float, default=0.0)
+    p.add_argument("--diam", type=_finite_float)
     p.add_argument("--ball-variant", action="store_true")
     p.add_argument("--j", type=int, default=0)
-    p.add_argument("--rad", type=float)
-    p.add_argument("--m", type=float, default=1.0)
+    p.add_argument("--rad", type=_finite_float)
+    p.add_argument("--m", type=_finite_float, default=1.0)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_finite_float, default=1.0)
     p.set_defaults(run=_run_bounds)
 
     p = sub.add_parser("classify", help="tractability verdict for a profile")
@@ -579,12 +614,12 @@ def build_parser() -> _Parser:
     p.add_argument("--family", choices=("cube", "small_radius", "convex_P", "convex"))
     p.add_argument("--levels", help="finite profile: 'c:e,c:e,...' for j = 0..k")
     p.add_argument("--level0", help="infinite profile order 0: 'c:e'")
-    p.add_argument("--tail-constant", type=float)
-    p.add_argument("--tail-base", type=float, default=1.0)
-    p.add_argument("--tail-factorial-power", type=float, default=0.0)
+    p.add_argument("--tail-constant", type=_finite_float)
+    p.add_argument("--tail-base", type=_finite_float, default=1.0)
+    p.add_argument("--tail-factorial-power", type=_finite_float, default=0.0)
     p.add_argument("--tail-shift", type=int, default=0)
-    p.add_argument("--tail-u", type=float, default=0.0)
-    p.add_argument("--tail-v", type=float, default=0.0)
+    p.add_argument("--tail-u", type=_finite_float, default=0.0)
+    p.add_argument("--tail-v", type=_finite_float, default=0.0)
     p.add_argument("--d", type=int)
     p.set_defaults(run=_run_classify)
 
@@ -598,20 +633,17 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        # Apply config-file values as defaults of the chosen subparser,
-        # so explicit flags always win.
-        if "--config" in argv:
-            sub_name = argv[0] if argv and not argv[0].startswith("-") else None
-            cfg_path = argv[argv.index("--config") + 1]
-            config = _load_config(cfg_path)
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            # Config-file values become defaults of the chosen subparser
+            # and the flags are parsed again, so explicit flags always win.
             subparsers = next(
                 a for a in parser._actions
                 if isinstance(a, argparse._SubParsersAction)
             )
-            if sub_name in subparsers.choices:
-                sub = subparsers.choices[sub_name]
-                sub.set_defaults(**_coerce_config(config, sub))
-        args = parser.parse_args(argv)
+            sub = subparsers.choices[args.subcommand]
+            sub.set_defaults(**_coerce_config(_load_config(args.config), sub))
+            args = parser.parse_args(argv)
         if args.subcommand in _RANDOMIZED and getattr(args, "seed", None) is None:
             raise CliError(f"{args.subcommand} requires an explicit --seed")
         if getattr(args, "threads", 1) < 1:

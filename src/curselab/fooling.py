@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import zeta
 
 from .bounds import SmoothnessProfile, TailRule
-from .hull import PointSet, project_onto_hull
+from .hull import BatchProjection, PointSet, project_batch, slide_toward
 from .rng import substream
 
 __all__ = [
@@ -42,6 +43,8 @@ __all__ = [
     "fooling_c1",
     "fooling_smoothed",
     "fooling_cinf",
+    "FoolingValues",
+    "fooling_eval_batch",
     "fooling_c0_eval",
     "fooling_c1_eval",
     "smoothed_eval",
@@ -236,12 +239,10 @@ class FoolingFunction:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Pointwise values; for smoothed variants this is the c1 base."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.variant == "c0":
-            return np.array([fooling_c0_eval(self.hull, self.lipschitz, x, self.tol) for x in points])
-        return np.array(
-            [fooling_c1_eval(self.hull, self.delta, x, self.tol)[0] for x in points]
-        )
+        return fooling_eval_batch(
+            self.hull, points, delta=self.delta, lipschitz=self.lipschitz,
+            tol=self.tol, gradients=False,
+        ).values
 
     def gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         if self.variant == "c0":
@@ -326,40 +327,72 @@ def fooling_cinf(
     )
 
 
+class FoolingValues(NamedTuple):
+    """Values at a batch of points, c1 gradients, and the hull projection."""
+
+    values: np.ndarray  # (m,)
+    gradients: np.ndarray | None  # (m, d); None for c0 or when not asked for
+    projection: BatchProjection
+
+
+def fooling_eval_batch(
+    hull: PointSet,
+    points: np.ndarray,
+    *,
+    delta: float | None = None,
+    lipschitz: float | None = None,
+    tol: float = 1e-10,
+    gradients: bool = True,
+) -> FoolingValues:
+    """The c0 (``lipschitz`` given) or c1 (``delta`` given) construction at each row.
+
+    c0: min{1, L * dist(x, hull)}.  c1: with phi(x) = dist(x, K_delta)^2
+    the value is p(phi(x)) and the gradient is
+    p'(phi(x)) * 2 (x - P_{K_delta}(x)), computed unless ``gradients``
+    is false.  One batched hull projection serves every row.
+    """
+    if (delta is None) == (lipschitz is None):
+        raise ValueError("give exactly one of delta (c1) and lipschitz (c0)")
+    if lipschitz is not None and lipschitz <= 0.0:
+        raise ValueError("lipschitz must be positive")
+    if delta is not None and delta <= 0.0:
+        raise ValueError("delta must be positive")
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    proj = project_batch(hull, points, tol=tol)
+    if lipschitz is not None:
+        return FoolingValues(np.minimum(1.0, lipschitz * proj.distance), None, proj)
+    r = delta * math.sqrt(hull.d)
+    values = np.zeros(points.shape[0])
+    ramp = np.flatnonzero(proj.distance - r > 0.0)
+    gap = proj.distance[ramp] - r
+    value, deriv = profile_eval(ProfileP(delta, hull.d), gap * gap)
+    values[ramp] = value
+    if not gradients:
+        return FoolingValues(values, None, proj)
+    grads = np.zeros(points.shape)
+    moving = deriv != 0.0
+    rows = ramp[moving]
+    # Nearest point of K_delta: slide from the hull projection toward x.
+    nearest_nb = slide_toward(proj.nearest[rows], proj.distance[rows], points[rows], r)
+    grads[rows] = 2.0 * deriv[moving, None] * (points[rows] - nearest_nb)
+    return FoolingValues(values, grads, proj)
+
+
 def fooling_c0_eval(
     hull: PointSet, lipschitz: float, x: np.ndarray, tol: float = 1e-10
 ) -> float:
     """min{1, L * dist(x, hull)}."""
-    if lipschitz <= 0.0:
-        raise ValueError("lipschitz must be positive")
-    proj = project_onto_hull(x, hull, tol=tol)
-    return min(1.0, lipschitz * proj.distance)
+    x = np.asarray(x, dtype=float).ravel()
+    return float(fooling_eval_batch(hull, x, lipschitz=lipschitz, tol=tol).values[0])
 
 
 def fooling_c1_eval(
     hull: PointSet, delta: float, x: np.ndarray, tol: float = 1e-10
 ) -> tuple[float, np.ndarray]:
-    """Value and gradient of the C^1 construction at x.
-
-    With phi(x) = dist(x, K_delta)^2 the value is p(phi(x)) and the
-    gradient is p'(phi(x)) * 2 (x - P_{K_delta}(x)).
-    """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    """Value and gradient of the C^1 construction at x (a batch of one)."""
     x = np.asarray(x, dtype=float).ravel()
-    proj = project_onto_hull(x, hull, tol=tol)
-    r = delta * math.sqrt(hull.d)
-    gap = proj.distance - r
-    if gap <= 0.0:
-        return 0.0, np.zeros(hull.d)
-    pp = ProfileP(delta, hull.d)
-    value, deriv = profile_eval(pp, gap * gap)
-    if deriv == 0.0:
-        return float(value), np.zeros(hull.d)
-    # Nearest point of K_delta: slide from the hull projection toward x.
-    nearest_nb = proj.nearest + (r / proj.distance) * (x - proj.nearest)
-    grad = 2.0 * deriv * (x - nearest_nb)
-    return float(value), grad
+    out = fooling_eval_batch(hull, x, delta=delta, tol=tol)
+    return float(out.values[0]), out.gradients[0]
 
 
 def smoothed_eval(

@@ -1,23 +1,29 @@
 """Convex hulls of point sets: projections, distances, neighborhoods.
 
-The central primitive is the minimum-norm-point method of Wolfe, run on
-the sample points shifted by the query.  It returns the nearest point of
-the hull together with the convex weights over the active support, and
-certifies optimality through the duality gap
-``||z||^2 - min_j <z, q_j> <= tol * (1 + ||z||)``.
+The central primitive is :func:`project_batch`: the minimum-norm-point
+method of Wolfe, run on the sample points shifted by each query, in
+lockstep over blocks of queries.  Each round does one batched KKT solve
+over the queries' active sets; the major step then either adds a
+query's best vertex or retires the query, once the duality gap
+``||z||^2 - min_j <z, q_j> <= tol * (1 + ||z||)`` certifies its nearest
+point.  Every query gets its nearest point, distance, dense convex
+weights, active set, cycle count, final gap and a stall flag.
+:func:`project_onto_hull` is a batch of one; the neighborhood helpers,
+the fooling functions, the check suites and the exact fallback of
+:func:`within_distance` all go through the same solver.
 
 For Monte Carlo volume estimation millions of queries hit the same
-point set, so :class:`PointSet` lazily caches Gram rows and squared
-norms, and :func:`within_distance` classifies whole batches with cheap
-exact bounds (nearest-vertex upper bound, support-function lower bound,
-a vectorized Gilbert refinement), falling back to Wolfe only for the
-few points the bounds cannot decide.
+point set, so :func:`within_distance` classifies whole batches with
+cheap exact bounds (nearest-vertex upper bound, support-function lower
+bound, a vectorized Gilbert refinement) and solves only the few queries
+the bounds cannot decide, in one batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,12 +32,14 @@ from .rng import substream
 __all__ = [
     "PointSet",
     "HullProjection",
+    "BatchProjection",
     "HullIterationError",
+    "project_batch",
     "project_onto_hull",
+    "slide_toward",
     "dist_to_neighborhood",
     "project_onto_neighborhood",
     "within_distance",
-    "hull_distances",
     "elekes_cover_check",
 ]
 
@@ -41,13 +49,12 @@ class HullIterationError(RuntimeError):
 
 
 class PointSet:
-    """Immutable set of n points in R^d with cached solver state.
+    """Immutable set of n points in R^d with their squared norms.
 
     Exact duplicate rows are removed on construction (bitwise equality
     only); affinely dependent points are fine.  If ``domain`` is given,
-    membership of every point is checked.  The Gram-row cache is
-    populated lazily and idempotently, so sharing one instance across
-    threads is safe.
+    membership of every point is checked.  Nothing is mutated after
+    construction, so sharing one instance across threads is safe.
     """
 
     def __init__(self, points: np.ndarray, domain=None):
@@ -68,14 +75,6 @@ class PointSet:
                 bad = int(np.argmin(inside))
                 raise ValueError(f"point {bad} lies outside the domain")
         self._norms2 = np.einsum("ij,ij->i", pts, pts)
-        self._gram_rows: dict[int, np.ndarray] = {}
-
-    def gram_row(self, i: int) -> np.ndarray:
-        row = self._gram_rows.get(i)
-        if row is None:
-            row = self.points @ self.points[i]
-            self._gram_rows[i] = row  # first writer wins; value is identical
-        return row
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -98,15 +97,56 @@ class PointSet:
 
 @dataclass(frozen=True)
 class HullProjection:
-    """Nearest hull point, its distance, and the supporting convex weights."""
+    """Nearest hull point, its distance, and the supporting convex weights.
+
+    ``iterations`` counts major and minor cycles; ``gap`` is the final
+    duality gap; ``stalled`` is set when the solver stopped because its
+    best improving vertex was already active, so ``gap`` may exceed the
+    tolerance.
+    """
 
     nearest: np.ndarray
     distance: float
     weights: np.ndarray
     support: np.ndarray
+    iterations: int
+    gap: float
+    stalled: bool
 
     def __post_init__(self):
         self.nearest.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class BatchProjection:
+    """Per-query results of :func:`project_batch`, one row per query.
+
+    ``weights`` are dense convex weights over all n ``points``, zero off
+    the final ``active`` set; ``iterations``, ``gap`` and ``stalled``
+    mean what they mean in :class:`HullProjection`.  ``nearest`` is
+    formed on first access, so callers that need only distances never
+    hold an m x d array.
+    """
+
+    points: np.ndarray  # (n, d), the point set
+    distance: np.ndarray  # (m,)
+    weights: np.ndarray  # (m, n)
+    active: np.ndarray  # (m, n) bool
+    iterations: np.ndarray  # (m,) int
+    gap: np.ndarray  # (m,)
+    stalled: np.ndarray  # (m,) bool
+
+    @cached_property
+    def nearest(self) -> np.ndarray:
+        """(m, d) nearest hull points."""
+        return self.weights @ self.points
+
+
+#: Queries solved in lockstep per block, and the cap on block size times
+#: n * d (the gathered active points); together they bound the solver's
+#: working memory.
+_BLOCK = 512
+_BLOCK_ELEMENTS = 1 << 20
 
 
 def _affine_minimizer(gram: np.ndarray) -> np.ndarray:
@@ -127,102 +167,196 @@ def _affine_minimizer(gram: np.ndarray) -> np.ndarray:
     return sol[:m]
 
 
+def _affine_minimizers(pts: np.ndarray, x: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Affine minimizers of every row's active set, dense and zero off it.
+
+    The active columns of each row are gathered into one (m+1)-square
+    KKT system per row, m the largest active count; padding rows are
+    identity rows, so their coefficients come out as zero.  A row whose
+    solve fails or is not finite is solved alone by
+    :func:`_affine_minimizer`, which falls back to least squares.
+    """
+    b, n = active.shape
+    m = int(active.sum(axis=1).max())
+    order = np.argsort(~active, axis=1, kind="stable")[:, :m]
+    row = np.arange(b)[:, None]
+    valid = active[row, order]
+    q = pts[order] - x[:, None, :]
+    q[~valid] = 0.0
+    kkt = np.zeros((b, m + 1, m + 1))
+    kkt[:, :m, :m] = q @ q.transpose(0, 2, 1)
+    diag = np.arange(m)
+    kkt[:, diag, diag] += ~valid
+    kkt[:, :m, m] = valid
+    kkt[:, m, :m] = valid
+    rhs = np.zeros((b, m + 1, 1))
+    rhs[:, m, 0] = 1.0
+    try:
+        sol = np.linalg.solve(kkt, rhs)[:, :m, 0]
+        redo = np.flatnonzero(~np.all(np.isfinite(sol), axis=1))
+    except np.linalg.LinAlgError:
+        sol = np.zeros((b, m))
+        redo = np.arange(b)
+    for i in redo:
+        cols = np.flatnonzero(valid[i])
+        sol[i] = 0.0
+        sol[i, cols] = _affine_minimizer(kkt[i][np.ix_(cols, cols)])
+    a = np.zeros((b, n))
+    a[row, order] = np.where(valid, sol, 0.0)
+    return a
+
+
+def _minor_cycles(pts, queries, weights, active, iterations, rows, max_iter) -> None:
+    """Move ``rows`` to their affine minimizers, dropping vertices whose
+    coefficient would turn negative; updates the state in place."""
+    while rows.size:
+        iterations[rows] += 1
+        if int(iterations[rows].max()) > max_iter:
+            raise HullIterationError(
+                f"no convergence after {max_iter} cycles (minor loop)"
+            )
+        a = _affine_minimizers(pts, queries[rows], active[rows])
+        neg = a < -1e-12
+        blocked = np.any(neg, axis=1)
+        done = rows[~blocked]
+        w = np.clip(a[~blocked], 0.0, None)
+        weights[done] = w / w.sum(axis=1, keepdims=True)
+        rows, a, neg = rows[blocked], a[blocked], neg[blocked]
+        if not rows.size:
+            break
+        w = weights[rows]
+        ratio = np.full(w.shape, np.inf)
+        ratio[neg] = w[neg] / (w[neg] - a[neg])
+        theta = ratio.min(axis=1, keepdims=True)
+        w = w + theta * (a - w)
+        w[neg & (w < 1e-14)] = 0.0
+        drop = np.argmin(np.where(neg, w, np.inf), axis=1)
+        w[np.arange(rows.size), drop] = 0.0
+        active[rows, drop] = False
+        w = np.clip(w, 0.0, None)
+        weights[rows] = w / w.sum(axis=1, keepdims=True)
+
+
+def _wolfe_block(ps: PointSet, queries: np.ndarray, tol: float, max_iter: int):
+    """Wolfe's method in lockstep over one block of queries."""
+    pts = ps.points
+    b = queries.shape[0]
+    every = np.arange(b)
+    start = np.argmin(ps._norms2[None, :] - 2.0 * (queries @ pts.T), axis=1)
+    active = np.zeros((b, ps.n), dtype=bool)
+    active[every, start] = True
+    weights = active.astype(float)
+    iterations = np.zeros(b, dtype=np.int64)
+    gap = np.zeros(b)
+    stalled = np.zeros(b, dtype=bool)
+
+    rows = every
+    while rows.size:
+        # Major cycle: the vertex minimizing <z, q_j> certifies optimality
+        # (gap <= tol (1 + ||z||)) or joins the active set.
+        x = queries[rows]
+        z = weights[rows] @ pts - x
+        zz = np.einsum("ij,ij->i", z, z)
+        t = z @ pts.T - np.einsum("ij,ij->i", x, z)[:, None]
+        j = np.argmin(t, axis=1)
+        gap[rows] = zz - t[np.arange(rows.size), j]
+        converged = gap[rows] <= tol * (1.0 + np.sqrt(np.maximum(zz, 0.0)))
+        # The best improving vertex is already active: numerical stall,
+        # the affine solve cannot improve further.
+        stuck = ~converged & active[rows, j]
+        stalled[rows[stuck]] = True
+        go = ~(converged | stuck)
+        rows, j = rows[go], j[go]
+        if not rows.size:
+            break
+        iterations[rows] += 1
+        worst = int(np.argmax(iterations[rows]))
+        if iterations[rows[worst]] > max_iter:
+            raise HullIterationError(
+                f"no convergence after {max_iter} cycles (gap {gap[rows[worst]]:.3e})"
+            )
+        active[rows, j] = True
+        _minor_cycles(pts, queries, weights, active, iterations, rows, max_iter)
+
+    distance = np.linalg.norm(queries - weights @ pts, axis=1)
+    return distance, weights, active, iterations, gap, stalled
+
+
+def project_batch(
+    ps: PointSet,
+    queries: np.ndarray,
+    tol: float = 1e-10,
+    max_iter: int | None = None,
+) -> BatchProjection:
+    """Project every row of ``queries`` onto the hull of ``ps``.
+
+    Wolfe's minimum-norm-point method on the shifted points
+    ``q_i = p_i - x``, run in lockstep over blocks of queries: each round
+    does one batched KKT solve over the active sets, then a major step
+    either adds each query's best vertex or retires the query once its
+    duality gap is below ``tol * (1 + distance)``.  Raises
+    :class:`HullIterationError` when a query exceeds ``max_iter``
+    major/minor cycles (default ``50 * n * d``).
+    """
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    if queries.ndim != 2 or queries.shape[1] != ps.d:
+        raise ValueError(
+            f"queries have dimension {queries.shape[-1]}, expected {ps.d}"
+        )
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if max_iter is None:
+        max_iter = 50 * ps.n * ps.d
+    m = queries.shape[0]
+    out = (
+        np.empty(m),
+        np.empty((m, ps.n)),
+        np.empty((m, ps.n), dtype=bool),
+        np.empty(m, dtype=np.int64),
+        np.empty(m),
+        np.empty(m, dtype=bool),
+    )
+    block = max(1, min(_BLOCK, _BLOCK_ELEMENTS // (ps.n * ps.d)))
+    for lo in range(0, m, block):
+        parts = _wolfe_block(ps, queries[lo:lo + block], tol, max_iter)
+        for dest, part in zip(out, parts):
+            dest[lo:lo + block] = part
+    return BatchProjection(ps.points, *out)
+
+
 def project_onto_hull(
     x: np.ndarray,
     ps: PointSet,
     tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> HullProjection:
-    """Project ``x`` onto the convex hull of ``ps`` (Wolfe min-norm point).
-
-    Works on the shifted points ``q_i = p_i - x`` and stops once the
-    duality gap drops below ``tol * (1 + distance)``.  Raises
-    :class:`HullIterationError` after ``max_iter`` major/minor cycles
-    (default ``50 * n * d``).
-    """
+    """Project ``x`` onto the convex hull of ``ps``: a batch of one."""
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != ps.d:
         raise ValueError(f"query has dimension {x.shape[0]}, expected {ps.d}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    pts = ps.points
-    n = ps.n
-    if max_iter is None:
-        max_iter = 50 * n * ps.d
-
-    px = pts @ x
-    xx = float(x @ x)
-    # <q_i, q_j> = gram[i, j] - px[i] - px[j] + xx, with gram rows cached.
-    start = int(np.argmin(ps._norms2 - 2.0 * px))
-    support = [start]
-    weights = np.array([1.0])
-    q_gram = np.array([[ps._norms2[start] - 2.0 * px[start] + xx]])
-
-    iterations = 0
-    while True:
-        z = weights @ pts[support] - x
-        zz = float(z @ z)
-        znorm = math.sqrt(max(zz, 0.0))
-        t = pts @ z - float(x @ z)
-        j = int(np.argmin(t))
-        gap = zz - float(t[j])
-        if gap <= tol * (1.0 + znorm):
-            break
-        if j in support:
-            # The best improving vertex is already active: numerical stall,
-            # the affine solve cannot improve further.
-            break
-        iterations += 1
-        if iterations > max_iter:
-            raise HullIterationError(
-                f"no convergence after {max_iter} cycles (gap {gap:.3e})"
-            )
-        # Extend the active Gram matrix by the new vertex.
-        row = ps.gram_row(j)[support] - px[support] - px[j] + xx
-        m = len(support)
-        new_gram = np.empty((m + 1, m + 1))
-        new_gram[:m, :m] = q_gram
-        new_gram[:m, m] = row
-        new_gram[m, :m] = row
-        new_gram[m, m] = ps._norms2[j] - 2.0 * px[j] + xx
-        q_gram = new_gram
-        support.append(j)
-        weights = np.append(weights, 0.0)
-
-        # Minor cycles: move to the affine minimizer, dropping vertices
-        # whose coefficient would turn negative.
-        while True:
-            iterations += 1
-            if iterations > max_iter:
-                raise HullIterationError(
-                    f"no convergence after {max_iter} cycles (minor loop)"
-                )
-            a = _affine_minimizer(q_gram)
-            if np.min(a) >= -1e-12:
-                weights = np.clip(a, 0.0, None)
-                weights /= weights.sum()
-                break
-            neg = a < -1e-12
-            theta = np.min(weights[neg] / (weights[neg] - a[neg]))
-            weights = weights + theta * (a - weights)
-            weights[neg & (weights < 1e-14)] = 0.0
-            drop = int(np.argmin(np.where(neg, weights, np.inf)))
-            keep = np.ones(len(support), dtype=bool)
-            keep[drop] = False
-            support = [s for s, k in zip(support, keep) if k]
-            weights = weights[keep]
-            weights = np.clip(weights, 0.0, None)
-            weights /= weights.sum()
-            q_gram = q_gram[np.ix_(keep, keep)]
-
-    nearest = weights @ pts[support]
-    distance = float(np.linalg.norm(x - nearest))
+    res = project_batch(ps, x[None, :], tol=tol, max_iter=max_iter)
+    support = np.flatnonzero(res.active[0])
     return HullProjection(
-        nearest=nearest,
-        distance=distance,
-        weights=weights.copy(),
-        support=np.asarray(support, dtype=int),
+        nearest=res.nearest[0],
+        distance=float(res.distance[0]),
+        weights=res.weights[0, support],
+        support=support,
+        iterations=int(res.iterations[0]),
+        gap=float(res.gap[0]),
+        stalled=bool(res.stalled[0]),
     )
+
+
+def slide_toward(nearest, distance, x, r: float) -> np.ndarray:
+    """Points at distance ``r`` from hull projections, toward their queries.
+
+    Every point of the segment from a query ``x`` to its hull projection
+    ``nearest`` has that projection, so for ``distance > r`` this is the
+    nearest point of the r-neighborhood of the hull.  Accepts one query
+    or a batch (rows of ``x`` and ``nearest``, entries of ``distance``).
+    """
+    scale = r / np.asarray(distance, dtype=float)
+    return nearest + scale[..., None] * (x - nearest)
 
 
 def dist_to_neighborhood(
@@ -250,13 +384,7 @@ def project_onto_neighborhood(
     r = delta * math.sqrt(ps.d)
     if proj.distance <= r:
         return x.copy()
-    return proj.nearest + (r / proj.distance) * (x - proj.nearest)
-
-
-def hull_distances(ps: PointSet, queries: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Exact hull distances for a batch of query points (one Wolfe run each)."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    return np.array([project_onto_hull(q, ps, tol=tol).distance for q in queries])
+    return slide_toward(proj.nearest, proj.distance, x, r)
 
 
 def within_distance(
@@ -330,8 +458,8 @@ def within_distance(
         step = np.clip(step, 0.0, 1.0)
         y = y + step[:, None] * w
 
-    for idx, q in zip(alive, x):
-        result[idx] = project_onto_hull(q, ps, tol=tol).distance <= r
+    if alive.size:
+        result[alive] = project_batch(ps, x, tol=tol).distance <= r
     return result
 
 

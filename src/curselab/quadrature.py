@@ -170,19 +170,21 @@ def fd_partial(
 
 def _even_multi_indices(d: int, j: int):
     """All beta with every component even and |beta| <= j, lexicographic."""
-    half = j // 2
     result = []
-
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            result.append(tuple(2 * g for g in prefix))
-            return
-        for g in range(budget + 1):
-            rec(prefix + [g], remaining - 1, budget - g)
-
-    rec([], d, half)
+    _append_even(result, [], d, j // 2)
     result.sort()
     return result
+
+
+def _append_even(result, prefix, remaining, budget):
+    # A module-level function, not a self-referencing closure: a closure
+    # would form a reference cycle that keeps ``result`` (C(d + j/2, d)
+    # tuples, 13 MB at d=30, j=8) alive until the cyclic collector runs.
+    if remaining == 0:
+        result.append(tuple(2 * g for g in prefix))
+        return
+    for g in range(budget + 1):
+        _append_even(result, prefix + [g], remaining - 1, budget - g)
 
 
 def default_fd_step(order: int) -> float:

@@ -17,6 +17,7 @@ for any worker count.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -220,6 +221,9 @@ def binomial_half_width(successes: int, samples: int) -> float:
     return z * math.sqrt(p * (1.0 - p) / samples)
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class VolumeEstimate:
     """Monte Carlo volume estimate next to its analytic comparator."""
@@ -233,13 +237,18 @@ class VolumeEstimate:
 
     @property
     def bound(self) -> float | None:
-        return None if self.bound_log is None else math.exp(self.bound_log)
+        """The bound itself; ``inf`` where it exceeds the float range."""
+        if self.bound_log is None:
+            return None
+        return math.exp(self.bound_log) if self.bound_log < _LOG_FLOAT_MAX else math.inf
 
     @property
     def passed(self) -> bool:
+        """mean <= bound + 3 half-widths, compared in log domain."""
         if self.bound_log is None:
             return True
-        return self.mean <= math.exp(self.bound_log) + 3.0 * self.half_width_95
+        excess = self.mean - 3.0 * self.half_width_95
+        return excess <= 0.0 or math.log(excess) <= self.bound_log
 
     def to_json_dict(self) -> dict:
         return {

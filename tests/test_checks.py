@@ -1,0 +1,37 @@
+import pytest
+
+from curselab import checks
+
+# Seeds on which the finite-difference gradient sub-check used to fail
+# at the README configuration: a stencil spanning a change of projection
+# support (5, 26, 54, 57, 59) or crossing the ramp breakpoint (19, 52, 58).
+FD_SEEDS = [5, 19, 26, 52, 54, 57, 58, 59]
+
+
+def _readme_c1(seed):
+    return checks.fool_check_c1(5, 8, 0.005, pairs=2000, seed=seed)
+
+
+@pytest.mark.parametrize("seed", FD_SEEDS)
+def test_fool_check_c1_fd_gradient_passes_on_former_failures(seed):
+    res = _readme_c1(seed)
+    assert res["grad_fd_pass"], res["grad_fd_max_rel_err"]
+    assert res["pass"]
+    assert res["grad_fd_points"] == 40
+    assert res["grad_fd_near_breakpoint"] + res["grad_fd_support_changes"] >= 1
+
+
+def test_fool_check_c1_fd_gradient_detects_a_perturbed_gradient(monkeypatch):
+    exact = checks.fooling_eval_batch
+
+    def perturbed(*args, **kwargs):
+        out = exact(*args, **kwargs)
+        if out.gradients is None:
+            return out
+        return out._replace(gradients=out.gradients * (1.0 + 1e-4))
+
+    monkeypatch.setattr(checks, "fooling_eval_batch", perturbed)
+    res = _readme_c1(1)
+    assert res["grad_fd_points"] == 40
+    assert not res["grad_fd_pass"]
+    assert res["grad_fd_max_rel_err"] > 1e-5

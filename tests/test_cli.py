@@ -244,3 +244,76 @@ def test_stdout_default(capsys):
     assert code == 0
     payload = json.loads(captured.out)
     assert payload["subcommand"] == "constants"
+
+
+def _one_line_error(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("curselab: error:"), err
+    return code, err
+
+
+def test_volume_bound_beyond_float_range(tmp_path):
+    # ln(bound) ~ 2400 here: the pass flag and the plot row stay in range.
+    plot = tmp_path / "plot.txt"
+    code, payload = run_json(
+        ["volume", "--domain", "lp:2", "--d", "1000", "--n", "2", "--delta", "1.0",
+         "--samples", "1000", "--seed", "1", "--plot-data", str(plot)],
+        tmp_path,
+    )
+    assert code == 0
+    assert payload["results"]["pass"] is True
+    assert payload["results"]["bound_log"]["value"] > 1000.0
+    assert plot.read_text().split()[2] == "inf"
+
+
+def test_config_as_last_argument(capsys):
+    code, err = _one_line_error(capsys, ["volume", "--domain", "cube", "--config"])
+    assert code == 1
+    assert "--config" in err
+
+
+def test_config_with_equals_sign(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("domain=cube\nd=3\nn=4\ndelta=0.1\nsamples=2000\nseed=5\n")
+    code, payload = run_json(["volume", f"--config={cfg}"], tmp_path)
+    assert code == 0
+    assert payload["config"]["seed"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--which", "taylor-upper", "--d", "10", "--j", "3", "--lip", "nan"],
+    ["constants", "--gamma", "--delta", "nan", "--eta", "0.25"],
+    ["constants", "--gamma", "--delta", "0.26", "--eta", "inf"],
+    ["bounds", "--which", "qpt-cost", "--d-list", "10", "--eps-list", "0.1,-inf"],
+    ["volume", "--domain", "lp:nan", "--d", "3", "--n", "2", "--delta", "0.1",
+     "--samples", "1000", "--seed", "1"],
+    ["classify", "--k", "1", "--family", "cube", "--levels", "1:-0.5,1:nan"],
+])
+def test_non_finite_numbers_are_invalid(capsys, argv):
+    code, err = _one_line_error(capsys, argv)
+    assert code == 1
+    assert "finite" in err
+
+
+def test_non_finite_config_value_is_invalid(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("lip=nan\n")
+    code, err = _one_line_error(
+        capsys, ["bounds", "--which", "taylor-upper", "--d", "10", "--j", "3",
+                 "--config", str(cfg)],
+    )
+    assert code == 1
+    assert "lip" in err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["classify", "--k", "1", "--family", "cube", "--levels", "0:-0.5,1:-1"], "level 0"),
+    (["classify", "--k", "1", "--family", "cube", "--levels", "1:-0.5,-2:-1"], "level 1"),
+    (["classify", "--k", "inf", "--family", "cube", "--level0", "1:0",
+      "--tail-constant", "0"], "--tail-constant"),
+])
+def test_classify_names_a_non_positive_constant(capsys, argv, name):
+    code, err = _one_line_error(capsys, argv)
+    assert code == 1
+    assert name in err and "positive" in err

@@ -169,6 +169,39 @@ def test_c1_sampled_lipschitz_quotients(small_hull):
         assert 0.0 <= vx <= 1.0
 
 
+def test_batch_evaluator_matches_one_row_calls(small_hull):
+    delta = 0.08
+    r = delta * 2.0
+    rng = np.random.default_rng(5)
+    base = rng.dirichlet(np.ones(small_hull.n), size=60) @ small_hull.points
+    u = rng.standard_normal((60, 4))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    pts = np.vstack([
+        small_hull.points,
+        base + u * (r * rng.uniform(0.0, 3.5, size=(60, 1))),  # all three ramp pieces
+        rng.random((40, 4)) * 2.0 - 0.5,
+    ])
+    out = fooling.fooling_eval_batch(small_hull, pts, delta=delta)
+    assert np.array_equal(fooling.fooling_c1(small_hull, delta)(pts), out.values)
+    values_only = fooling.fooling_eval_batch(small_hull, pts, delta=delta, gradients=False)
+    assert values_only.gradients is None
+    assert np.array_equal(values_only.values, out.values)
+    assert 0 < np.count_nonzero((out.values > 0.0) & (out.values < 1.0)) < len(pts)
+    for x, value, grad in zip(pts, out.values, out.gradients):
+        one_value, one_grad = fooling.fooling_c1_eval(small_hull, delta, x)
+        assert abs(one_value - value) <= 1e-12
+        assert np.allclose(one_grad, grad, rtol=0.0, atol=1e-9)
+    c0 = fooling.fooling_eval_batch(small_hull, pts, lipschitz=3.0)
+    assert c0.gradients is None
+    assert np.array_equal(c0.values, np.minimum(1.0, 3.0 * out.projection.distance))
+    for x, value in zip(pts[::10], c0.values[::10]):
+        assert abs(fooling.fooling_c0_eval(small_hull, 3.0, x) - value) <= 1e-12
+    with pytest.raises(ValueError):
+        fooling.fooling_eval_batch(small_hull, pts)
+    with pytest.raises(ValueError):
+        fooling.fooling_eval_batch(small_hull, pts, delta=delta, lipschitz=3.0)
+
+
 # ---------------------------------------------------------------------------
 # Weight sequences
 

@@ -3,9 +3,84 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from curselab import geometry as geo
 from curselab import hull
+
+
+def _scalar_wolfe(x, points, tol=1e-10):
+    """Reference: the one-query Wolfe solver the batched one replaced.
+
+    Keeps the support in insertion order and the shifted Gram matrix of
+    the support, as the scalar solver did; returns (nearest, distance).
+    """
+    n = points.shape[0]
+    norms2 = np.einsum("ij,ij->i", points, points)
+    px = points @ x
+    xx = float(x @ x)
+    start = int(np.argmin(norms2 - 2.0 * px))
+    support = [start]
+    weights = np.array([1.0])
+    q_gram = np.array([[norms2[start] - 2.0 * px[start] + xx]])
+
+    def affine(gram):
+        m = gram.shape[0]
+        kkt = np.zeros((m + 1, m + 1))
+        kkt[:m, :m] = gram
+        kkt[:m, m] = kkt[m, :m] = 1.0
+        rhs = np.zeros(m + 1)
+        rhs[m] = 1.0
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        return sol[:m]
+
+    for _ in range(50 * n * points.shape[1]):
+        z = weights @ points[support] - x
+        zz = float(z @ z)
+        t = points @ z - float(x @ z)
+        j = int(np.argmin(t))
+        if zz - t[j] <= tol * (1.0 + math.sqrt(zz)) or j in support:
+            break
+        row = points[support] @ points[j] - px[support] - px[j] + xx
+        m = len(support)
+        grown = np.empty((m + 1, m + 1))
+        grown[:m, :m] = q_gram
+        grown[:m, m] = grown[m, :m] = row
+        grown[m, m] = norms2[j] - 2.0 * px[j] + xx
+        q_gram = grown
+        support.append(j)
+        weights = np.append(weights, 0.0)
+        while True:
+            a = affine(q_gram)
+            if np.min(a) >= -1e-12:
+                weights = np.clip(a, 0.0, None)
+                weights /= weights.sum()
+                break
+            neg = a < -1e-12
+            theta = np.min(weights[neg] / (weights[neg] - a[neg]))
+            weights = weights + theta * (a - weights)
+            weights[neg & (weights < 1e-14)] = 0.0
+            drop = int(np.argmin(np.where(neg, weights, np.inf)))
+            keep = np.arange(len(support)) != drop
+            support = [s for s, k in zip(support, keep) if k]
+            weights = np.clip(weights[keep], 0.0, None)
+            weights /= weights.sum()
+            q_gram = q_gram[np.ix_(keep, keep)]
+    nearest = weights @ points[support]
+    return nearest, float(np.linalg.norm(x - nearest))
+
+
+def _nnls_distance(points, x, weight=1e4):
+    """Independent reference: nnls with a heavily weighted sum-to-one row."""
+    q = (points - x).T
+    a = np.vstack([q, np.full((1, points.shape[0]), weight)])
+    b = np.zeros(q.shape[0] + 1)
+    b[-1] = weight
+    w, _ = nnls(a, b, maxiter=50 * points.shape[0])
+    return float(np.linalg.norm(q @ (w / w.sum())))
 
 
 def test_projection_of_a_vertex_is_zero():
@@ -209,3 +284,130 @@ def test_projection_dimension_mismatch():
     ps = hull.PointSet(np.array([[0.0, 0.0]]))
     with pytest.raises(ValueError):
         hull.project_onto_hull(np.array([1.0, 2.0, 3.0]), ps)
+
+
+# ---------------------------------------------------------------------------
+# The batched projection
+
+
+def _batch_case(d, n, seed):
+    """Points with duplicates and affinely dependent rows, and queries on
+    vertices, inside the hull and far from it."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, d))
+    if n >= 2:
+        pts = np.vstack([pts, pts[:1], 0.5 * (pts[0] + pts[1])])  # duplicate, midpoint
+    if n >= 8:
+        pts = np.vstack([pts, pts[2] + 0.25 * (pts[3] - pts[2])])  # collinear
+    ps = hull.PointSet(pts)
+    inside = rng.dirichlet(np.ones(ps.n), size=20) @ ps.points
+    far = rng.standard_normal((20, d)) * 2.0 + 0.5
+    near = rng.random((40, d)) * 1.4 - 0.2
+    return ps, np.vstack([ps.points, inside, far, near])
+
+
+BATCH_CASES = [(d, n) for d in (1, 2, 5, 20) for n in (1, 2, 8, 16)]
+
+
+@pytest.mark.parametrize("d,n", BATCH_CASES)
+def test_project_batch_matches_scalar_and_nnls(d, n):
+    ps, queries = _batch_case(d, n, seed=100 * d + n)
+    res = hull.project_batch(ps, queries)
+    assert res.nearest.shape == queries.shape
+    assert res.weights.shape == res.active.shape == (len(queries), ps.n)
+    for i, x in enumerate(queries):
+        nearest, distance = _scalar_wolfe(x, ps.points)
+        assert abs(res.distance[i] - distance) <= 1e-12
+        assert np.max(np.abs(res.nearest[i] - nearest)) <= 1e-12
+        assert abs(res.distance[i] - _nnls_distance(ps.points, x)) <= 1e-7
+    # Convex weights, zero off the active set, reproducing the nearest point.
+    assert np.all(res.weights >= 0.0)
+    assert np.all(res.weights[~res.active] == 0.0)
+    assert np.allclose(res.weights.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(res.weights @ ps.points, res.nearest, rtol=0.0, atol=1e-12)
+    assert np.allclose(
+        np.linalg.norm(queries - res.nearest, axis=1), res.distance, rtol=0.0, atol=1e-12
+    )
+    # Converged queries meet the stopping rule.
+    ok = ~res.stalled
+    assert np.all(res.gap[ok] <= 1e-10 * (1.0 + res.distance[ok]) * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (5, 16), (20, 16)])
+def test_project_batch_blocking_does_not_change_results(monkeypatch, d, n):
+    ps, queries = _batch_case(d, n, seed=7 * d + n)
+    whole = hull.project_batch(ps, queries)
+    for block in (1, 7, 64):
+        monkeypatch.setattr(hull, "_BLOCK", block)
+        part = hull.project_batch(ps, queries)
+        assert np.max(np.abs(part.distance - whole.distance)) <= 1e-12
+        assert np.max(np.abs(part.nearest - whole.nearest)) <= 1e-12
+        assert np.max(np.abs(part.weights - whole.weights)) <= 1e-12
+
+
+def test_project_batch_reports_stalls_and_gaps():
+    # With a tolerance no rounding error can meet, queries whose nearest
+    # point lies inside a face end on the stall exit.
+    rng = np.random.default_rng(3)
+    ps = hull.PointSet(rng.random((8, 5)))
+    queries = rng.random((200, 5)) * 3.0 - 1.0
+    strict = hull.project_batch(ps, queries, tol=1e-300)
+    normal = hull.project_batch(ps, queries)
+    assert strict.stalled.any() and not normal.stalled.any()
+    assert np.all(strict.gap[strict.stalled] > 1e-300)
+    assert np.all(np.isfinite(strict.gap)) and np.all(strict.iterations >= 0)
+    assert np.max(np.abs(strict.distance - normal.distance)) <= 1e-12
+    i = int(np.argmax(strict.stalled))
+    one = hull.project_onto_hull(queries[i], ps, tol=1e-300)
+    assert one.stalled and one.gap == strict.gap[i]
+    assert one.iterations == strict.iterations[i]
+
+
+def test_project_onto_hull_is_a_batch_of_one():
+    ps, queries = _batch_case(5, 8, seed=11)
+    for x in queries[::5]:
+        one = hull.project_onto_hull(x, ps)
+        res = hull.project_batch(ps, x[None, :])
+        assert np.array_equal(one.nearest, res.nearest[0])
+        assert one.distance == res.distance[0]
+        assert np.array_equal(one.support, np.flatnonzero(res.active[0]))
+        assert np.array_equal(one.weights, res.weights[0, one.support])
+        assert (one.iterations, one.gap, one.stalled) == (
+            res.iterations[0], res.gap[0], res.stalled[0]
+        )
+
+
+def test_project_batch_iteration_cap():
+    ps, queries = _batch_case(5, 8, seed=12)
+    with pytest.raises(hull.HullIterationError):
+        hull.project_batch(ps, queries, max_iter=1)
+
+
+def test_project_batch_validation():
+    ps = hull.PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError):
+        hull.project_batch(ps, np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        hull.project_batch(ps, np.zeros((3, 2)), tol=0.0)
+    empty = hull.project_batch(ps, np.zeros((0, 2)))
+    assert empty.distance.shape == (0,) and empty.weights.shape == (0, 2)
+
+
+@pytest.mark.parametrize("d,n,seed,scale", [(5, 8, 41, 2.0), (3, 12, 5, 1.2), (5, 8, 7, 1.0)])
+def test_within_distance_matches_scalar_reference(monkeypatch, d, n, seed, scale):
+    rng = np.random.default_rng(seed)
+    ps = hull.PointSet(rng.random((n, d)))
+    queries = rng.random((300, d)) * scale - 0.5 * (scale - 1.0)
+    exact = np.array([_scalar_wolfe(q, ps.points)[1] for q in queries])
+    original = hull.project_batch
+    fallback = []
+
+    def counting(ps_, x, tol=1e-10):
+        fallback.append(len(x))
+        return original(ps_, x, tol=tol)
+
+    monkeypatch.setattr(hull, "project_batch", counting)
+    for r in (0.05, 0.1, 0.3, 0.6):
+        mask = hull.within_distance(ps, queries, r, refine_iters=4)
+        assert np.array_equal(mask, exact <= r)
+    assert sum(fallback) > 0  # the exact fallback was exercised
