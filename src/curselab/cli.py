@@ -513,7 +513,6 @@ def _add_common(parser):
     parser.add_argument("--plot-data", default=None, help="whitespace-delimited plot file")
     parser.add_argument("--config", default=None, help="flat key=value config file")
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
 
 
 def build_parser() -> _Parser:
@@ -678,7 +677,7 @@ def main(argv: list[str] | None = None) -> int:
 def _config_echo(args) -> dict:
     # Execution parameters (output paths, worker count) stay out of the
     # echo: outputs must be byte-identical across thread counts.
-    skip = {"run", "out", "plot_data", "config", "format", "threads"}
+    skip = {"run", "out", "plot_data", "config", "threads"}
     echo = {}
     for key, value in sorted(vars(args).items()):
         if key in skip or value is None or callable(value):

@@ -31,7 +31,7 @@ from scipy.special import zeta
 
 from .bounds import SmoothnessProfile, TailRule
 from .hull import BatchProjection, PointSet, project_batch, slide_toward
-from .rng import substream
+from .rng import mc_mean
 
 __all__ = [
     "ProfileP",
@@ -409,8 +409,10 @@ def smoothed_eval(
     Averages ``base(x - U_1 - ... - U_k)`` over uniform draws U_j from
     the centered balls of radius ``alpha_j * delta * sqrt(d)``; ``base``
     is any batch-callable, so constant and affine test hooks can stand
-    in for the fooling function.  Returns the mean and the 95% normal
-    half-width.  ``kernels = 0`` evaluates the base itself exactly.
+    in for the fooling function.  The draws go through
+    :func:`curselab.rng.mc_mean`, so ``base`` sees at most one chunk of
+    rows at a time.  Returns the mean and the 95% normal half-width.
+    ``kernels = 0`` evaluates the base itself exactly.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -426,20 +428,16 @@ def smoothed_eval(
     alphas = seq.values(kernels)
     if alphas.sum() > 1.0 + 1e-12:
         raise ValueError("kernel weights must sum to at most one")
-    rng = substream(seed)
-    shift = np.zeros((n_samples, d))
-    for a in alphas:
-        direction = rng.standard_normal((n_samples, d))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        radius = a * delta * math.sqrt(d) * rng.random((n_samples, 1)) ** (1.0 / d)
-        shift += direction * radius
-    values = np.asarray(base(x[None, :] - shift), dtype=float).ravel()
-    # Center on the first value: exact means for constant bases.
-    v0 = float(values[0])
-    centered = values - v0
-    mean = v0 + float(centered.mean())
-    if n_samples > 1:
-        half = 1.959963984540054 * float(centered.std(ddof=1)) / math.sqrt(n_samples)
-    else:
-        half = 0.0
-    return mean, half
+
+    def draw(rng, size):
+        # Stream layout: for each kernel, a block of directions, then one of radii.
+        shift = np.zeros((size, d))
+        for a in alphas:
+            direction = rng.standard_normal((size, d))
+            direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+            radius = a * delta * math.sqrt(d) * rng.random((size, 1)) ** (1.0 / d)
+            shift += direction * radius
+        return np.ravel(base(x[None, :] - shift))
+
+    est = mc_mean(draw, seed, n_samples)
+    return est.mean, est.half_width_95

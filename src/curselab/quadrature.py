@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import DomainSpec
-from .rng import chunk_sizes, substream
+from .rng import mc_mean
 
 __all__ = [
     "Integrand",
@@ -50,8 +50,7 @@ class UnsupportedDomainError(ValueError):
 class Integrand:
     """A function on a volume-one domain, with optional exact structure.
 
-    ``eval`` maps an (m, d) array to m values.  ``analytic_gradient``
-    returns the gradient at a point.  ``analytic_partial`` maps
+    ``eval`` maps an (m, d) array to m values.  ``analytic_partial`` maps
     ``(x, beta)`` to the exact partial derivative D^beta f(x); it is
     what lets the Taylor rule spend one evaluation per multi-index
     instead of a stencil.  ``exact_integral`` is used by test families
@@ -59,9 +58,7 @@ class Integrand:
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
-    analytic_gradient: Callable[[np.ndarray], np.ndarray] | None = None
     analytic_partial: Callable[[np.ndarray, tuple[int, ...]], float] | None = None
-    declared_profile: object | None = None
     exact_integral: float | None = None
 
     def value_at(self, x: np.ndarray) -> float:
@@ -240,28 +237,13 @@ def reference_integral(
 ) -> tuple[float, float]:
     """Plain Monte Carlo integral with a 95% half-width.
 
-    Used as ground truth when no exact integral is available.  Chunked
-    substreams keep the result reproducible and order-independent.
+    Used as ground truth when no exact integral is available; the draws
+    go through :func:`curselab.rng.mc_mean`.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
-    # Sums are accumulated relative to the first value: exact for constant
-    # integrands and better conditioned for nearly constant ones.
-    shift = None
-    total = 0.0
-    total_sq = 0.0
-    for index, size in enumerate(chunk_sizes(n_samples)):
-        rng = substream(seed, index)
-        values = np.asarray(f.eval(dom.sample(rng, size)), dtype=float)
-        if shift is None:
-            shift = float(values[0])
-        centered = values - shift
-        total += float(centered.sum())
-        total_sq += float((centered * centered).sum())
-    mean = shift + total / n_samples
-    var = max(0.0, (total_sq - total * total / n_samples) / (n_samples - 1))
-    half = 1.959963984540054 * math.sqrt(var / n_samples)
-    return mean, half
+    est = mc_mean(lambda rng, size: f.eval(dom.sample(rng, size)), seed, n_samples)
+    return est.mean, est.half_width_95
 
 
 def make_sine_integrand(a: np.ndarray, b: float, amplitude: float = 0.1) -> Integrand:
@@ -277,9 +259,6 @@ def make_sine_integrand(a: np.ndarray, b: float, amplitude: float = 0.1) -> Inte
     def evaluate(points: np.ndarray) -> np.ndarray:
         return amplitude * np.sin(np.atleast_2d(points) @ a + b)
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        return amplitude * math.cos(float(np.dot(a, x)) + b) * a
-
     def partial(x: np.ndarray, beta: tuple[int, ...]) -> float:
         order = sum(beta)
         coeff = amplitude
@@ -289,7 +268,6 @@ def make_sine_integrand(a: np.ndarray, b: float, amplitude: float = 0.1) -> Inte
 
     return Integrand(
         eval=evaluate,
-        analytic_gradient=gradient,
         analytic_partial=partial,
         exact_integral=sine_integral_cube(a, b, amplitude),
     )

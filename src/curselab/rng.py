@@ -1,17 +1,25 @@
-"""Reproducible random streams for Monte Carlo work.
+"""Reproducible random streams and the one Monte Carlo reducer.
 
 All randomized routines in this package draw from counter-based Philox
 streams keyed by ``(seed, task_index)``.  Distinct task indices give
-statistically independent substreams, so chunked Monte Carlo loops can be
-distributed over threads and still reduce to the same result in the same
-order, no matter how many workers run the chunks.
+statistically independent substreams.  Every Monte Carlo estimator runs
+through :func:`mc_mean`, which draws fixed chunks from substreams keyed
+by the chunk index and reduces them in chunk order, so its result is the
+same no matter how many threads draw the chunks.
 """
 
 from __future__ import annotations
 
+import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from typing import NamedTuple
+
 import numpy as np
 
-__all__ = ["substream", "chunk_sizes"]
+__all__ = ["Z95", "substream", "chunk_sizes", "MonteCarloMean", "mc_mean"]
+
+Z95 = 1.959963984540054  # two-sided 95% quantile of the standard normal
 
 
 def substream(seed: int, task_index: int = 0) -> np.random.Generator:
@@ -33,3 +41,40 @@ def chunk_sizes(total: int, chunk: int = 1 << 14) -> list[int]:
     if rest:
         sizes.append(rest)
     return sizes
+
+
+class MonteCarloMean(NamedTuple):
+    """Result of :func:`mc_mean`; the half-width is the 95% normal one."""
+
+    mean: float
+    half_width_95: float
+    samples: int
+    chunks: int
+
+
+def mc_mean(draw, seed: int, n_samples: int, threads: int = 1) -> MonteCarloMean:
+    """Mean of ``n_samples`` values of ``draw(rng, size)``, which returns ``size`` values.
+
+    Chunk i draws from ``substream(seed, i)`` with its size from
+    :func:`chunk_sizes`.  With ``threads > 1`` a thread pool draws the
+    chunks and the calling thread reduces them in chunk order.  Sums run
+    relative to the first value, so constant draws give exact means and
+    zero half-widths; boolean draws sum exactly.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
+    sizes = chunk_sizes(n_samples)
+    shift = total = total_sq = 0.0
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        chunks = (pool.map if pool else map)(
+            lambda i: draw(substream(seed, i), sizes[i]), range(len(sizes))
+        )
+        for i, values in enumerate(chunks):
+            if i == 0:
+                shift = float(values[0])
+            centered = np.subtract(values, shift, dtype=float)
+            total += float(centered.sum())
+            total_sq += float((centered * centered).sum())
+    n = n_samples
+    var = max(0.0, (total_sq - total * total / n) / (n - 1)) if n > 1 else 0.0
+    return MonteCarloMean(shift + total / n, Z95 * math.sqrt(var / n), n, len(sizes))

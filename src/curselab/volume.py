@@ -9,16 +9,15 @@ Two closed-form bounds are provided for the volume of the
   where ``gamma~(delta)`` comes from a one-dimensional minimization of a
   Chernoff-type integral.
 
-Monte Carlo estimators check these bounds empirically.  They draw from
-counter-based substreams in fixed chunks, so results are bit-identical
-for any worker count.
+Monte Carlo estimators check these bounds empirically.  They count hits
+through :func:`curselab.rng.mc_mean`, so results are bit-identical for
+any worker count.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,7 +27,7 @@ from scipy.special import erf, erfc, erfi, log_ndtr
 
 from .geometry import DomainSpec
 from .hull import PointSet, within_distance
-from .rng import chunk_sizes, substream
+from .rng import Z95, mc_mean
 
 __all__ = [
     "GammaConstant",
@@ -202,23 +201,18 @@ def cube_hull_bound(n: int, d: int, delta: float) -> float:
 def binomial_half_width(successes: int, samples: int) -> float:
     """95% half-width for a binomial proportion.
 
-    Normal approximation by default; the Wilson interval replaces it
-    when fewer than 10 successes were seen, which is the regime the
-    tiny hull-neighborhood volumes live in.
+    Normal approximation by default.  Below 10 successes, the regime the
+    tiny hull-neighborhood volumes live in, it is the distance from the
+    observed proportion up to the Wilson upper limit.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
-    z = 1.959963984540054
     p = successes / samples
     if successes < 10:
-        z2 = z * z
-        half = (
-            z
-            * math.sqrt(p * (1.0 - p) / samples + z2 / (4.0 * samples * samples))
-            / (1.0 + z2 / samples)
-        )
-        return half
-    return z * math.sqrt(p * (1.0 - p) / samples)
+        z2_n = Z95 * Z95 / samples
+        spread = Z95 * math.sqrt(p * (1.0 - p) / samples + z2_n / (4.0 * samples))
+        return (p + z2_n / 2.0 + spread) / (1.0 + z2_n) - p
+    return Z95 * math.sqrt(p * (1.0 - p) / samples)
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -262,12 +256,15 @@ class VolumeEstimate:
         }
 
 
-def _count_chunks(worker, sizes: list[int], threads: int) -> list[int]:
-    if threads <= 1:
-        return [worker(i, s) for i, s in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, i, s) for i, s in enumerate(sizes)]
-        return [f.result() for f in futures]
+def _hit_fraction(
+    draw, seed: int, n_samples: int, threads: int,
+    bound_log: float | None = None, source: str = "none",
+) -> VolumeEstimate:
+    # Boolean draws sum exactly, and the mean is within n * 2^-52 of
+    # hits / n, so rounding recovers the integer count.
+    hits = round(mc_mean(draw, seed, n_samples, threads).mean * n_samples)
+    half = binomial_half_width(hits, n_samples)
+    return VolumeEstimate(hits / n_samples, half, n_samples, seed, bound_log, source)
 
 
 def mc_hull_neighborhood_volume(
@@ -292,19 +289,6 @@ def mc_hull_neighborhood_volume(
         raise ValueError("delta must be non-negative")
     if dom.d != ps.d:
         raise ValueError("domain dimension does not match the point set")
-    r = delta * math.sqrt(dom.d)
-    sizes = chunk_sizes(n_samples)
-
-    def worker(index: int, size: int) -> int:
-        rng = substream(seed, index)
-        pts = dom.sample(rng, size)
-        return int(np.count_nonzero(within_distance(ps, pts, r, tol=tol)))
-
-    counts = _count_chunks(worker, sizes, threads)
-    hits = sum(counts)
-    mean = hits / n_samples
-    half = binomial_half_width(hits, n_samples)
-
     if dom.kind == "cube" and delta < 1.0 / 12.0 and delta > 0.0:
         bound_log = cube_hull_bound(ps.n, dom.d, delta)
         source = "cube"
@@ -313,13 +297,10 @@ def mc_hull_neighborhood_volume(
         source = "small_radius"
     else:
         bound_log, source = None, "none"
-    return VolumeEstimate(
-        mean=mean,
-        half_width_95=half,
-        samples=n_samples,
-        seed=seed,
-        bound_log=bound_log,
-        bound_source=source,
+    r = delta * math.sqrt(dom.d)
+    return _hit_fraction(
+        lambda rng, size: within_distance(ps, dom.sample(rng, size), r, tol=tol),
+        seed, n_samples, threads, bound_log, source,
     )
 
 
@@ -340,21 +321,8 @@ def ball_tail_mass(
     if not bool(dom.contains(x_star[None, :])[0]):
         raise ValueError("x_star must lie in the domain")
     threshold = big_r * math.sqrt(dom.d)
-    sizes = chunk_sizes(n_samples)
 
-    def worker(index: int, size: int) -> int:
-        rng = substream(seed, index)
-        pts = dom.sample(rng, size)
-        dist = np.linalg.norm(pts - x_star, axis=1)
-        return int(np.count_nonzero(dist >= threshold))
+    def draw(rng, size):
+        return np.linalg.norm(dom.sample(rng, size) - x_star, axis=1) >= threshold
 
-    counts = _count_chunks(worker, sizes, threads)
-    hits = sum(counts)
-    return VolumeEstimate(
-        mean=hits / n_samples,
-        half_width_95=binomial_half_width(hits, n_samples),
-        samples=n_samples,
-        seed=seed,
-        bound_log=None,
-        bound_source="none",
-    )
+    return _hit_fraction(draw, seed, n_samples, threads)

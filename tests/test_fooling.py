@@ -343,6 +343,44 @@ def test_smoothed_lipschitz_of_means_common_randomness(small_hull):
         assert abs(ma - mb) / gap <= lip + 3.0 * math.hypot(ha, hb) / gap
 
 
+def test_smoothed_eval_passes_base_one_chunk_at_a_time():
+    seq = fooling.make_alpha_sequence("uniform", k=2)
+    rows = []
+
+    def base(pts):
+        rows.append(len(pts))
+        return pts[:, 0]
+
+    mean, _ = fooling.smoothed_eval(base, seq, 2, 0.05, np.full(3, 0.5), 50_000, seed=8)
+    assert sum(rows) == 50_000
+    assert max(rows) <= 1 << 14
+    assert abs(mean - 0.5) < 0.01
+
+
+def _single_stream_smoothed_mean(base, seq, kernels, delta, x, n_samples, seed):
+    # The estimator before chunking: one stream, every shift in memory.
+    d = x.shape[0]
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    shift = np.zeros((n_samples, d))
+    for a in seq.values(kernels):
+        direction = rng.standard_normal((n_samples, d))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        shift += direction * (a * delta * math.sqrt(d) * rng.random((n_samples, 1)) ** (1.0 / d))
+    values = np.asarray(base(x[None, :] - shift), dtype=float).ravel()
+    centered = values - values[0]
+    return float(values[0]) + float(centered.mean())
+
+
+def test_smoothed_eval_single_chunk_matches_single_stream(small_hull):
+    f = fooling.fooling_c1(small_hull, 0.05)
+    seq = fooling.make_alpha_sequence("uniform", k=3)
+    x = small_hull.points[0] + 0.12
+    expected = _single_stream_smoothed_mean(f, seq, 3, 0.05, x, 2000, 31)
+    mean, _ = fooling.smoothed_eval(f, seq, 3, 0.05, x, 2000, seed=31)
+    assert 0.0 < mean < 1.0
+    assert mean == expected
+
+
 def test_smoothed_eval_weight_guard(small_hull):
     # Uniform weights over fewer kernels than requested would exceed sum one.
     seq = fooling.make_alpha_sequence("uniform", k=2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curselab.rng import chunk_sizes, substream
+from curselab.rng import chunk_sizes, mc_mean, substream
 
 
 def test_substreams_are_reproducible():
@@ -29,3 +29,23 @@ def test_chunk_sizes_cover_total():
     assert chunk_sizes(0) == []
     with pytest.raises(ValueError):
         chunk_sizes(-1)
+
+
+def _normal_draw(rng, size):
+    return rng.standard_normal(size) * 3.0 + 1.0
+
+
+def test_mc_mean_independent_of_threads():
+    n = 3 * (1 << 14) + 123  # three full chunks and a partial one
+    runs = [mc_mean(_normal_draw, 11, n, threads=t) for t in (1, 2, 4)]
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0].samples == n
+    assert runs[0].chunks == 4
+    assert abs(runs[0].mean - 1.0) <= runs[0].half_width_95 * 3.0
+
+
+def test_mc_mean_constant_draw_is_exact():
+    est = mc_mean(lambda rng, size: np.full(size, 0.1), 3, 5 * (1 << 14) - 7, threads=2)
+    assert est.mean == 0.1
+    assert est.half_width_95 == 0.0
+    assert est.chunks == 5

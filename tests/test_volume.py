@@ -271,6 +271,16 @@ def test_binomial_half_width_branches():
     )
 
 
+def test_binomial_half_width_reaches_wilson_upper_limit():
+    z = 1.959963984540054
+    for k, n in ((0, 200_000), (3, 1000), (9, 50_000)):
+        p = k / n
+        centre = (p + z * z / (2 * n)) / (1 + z * z / n)
+        spread = z / (1 + z * z / n) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+        assert volume.binomial_half_width(k, n) == pytest.approx(centre + spread - p, rel=1e-12)
+    assert volume.binomial_half_width(0, 200_000) == pytest.approx(1.92e-5, rel=1e-3)
+
+
 def test_ball_tail_mass_cube_cases():
     dom = geo.DomainSpec.cube(4)
     center = dom.center
