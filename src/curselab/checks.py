@@ -388,8 +388,14 @@ def quad_check_sine(
     a_norm: float = 1.0,
     use_fd: bool = False,
     h: float | None = None,
+    max_evals: int | None = None,
 ) -> dict:
-    """Taylor rule against the closed-form sine integral and its bound."""
+    """Taylor rule against the closed-form sine integral and its bound.
+
+    ``max_evals`` is passed to :func:`quad_taylor`, which refuses the
+    rule before evaluating when its predicted cost exceeds it.
+    """
+    dom = DomainSpec.cube(d)
     rng = substream(seed, 0)
     a = rng.standard_normal(d)
     a *= a_norm / np.linalg.norm(a)
@@ -397,12 +403,12 @@ def quad_check_sine(
     f = make_sine_integrand(a, b, amplitude)
     if use_fd:
         f = Integrand(eval=f.eval, exact_integral=f.exact_integral)
-    dom = DomainSpec.cube(d)
-    result = quad_taylor(f, dom, j, h=h)
-    lip_j = amplitude * a_norm ** (j + 1)
+    result = quad_taylor(f, dom, j, h=h, max_evals=max_evals)
+    # Every order-(j+1) directional derivative is at most |amplitude| ||a||^(j+1).
+    lip_j = abs(amplitude) * abs(a_norm) ** (j + 1)
     bound = ub_taylor(j, lip_j, d, 0.5)
     err = abs(result.value - f.exact_integral)
-    fd_slack = 0.0 if not use_fd else 1e-5 * amplitude * (1.0 + a_norm) ** (j + 1)
+    fd_slack = 0.0 if not use_fd else 1e-5 * abs(amplitude) * (1.0 + abs(a_norm)) ** (j + 1)
     max_terms = math.comb(d + j, j)
     evals_cap = max_terms if not use_fd else max_terms * (j + 1) ** d
     return {

@@ -35,6 +35,7 @@ from . import checks
 from . import geometry as geo
 from . import volume as vol
 from .hull import HullIterationError, PointSet
+from .quadrature import EvaluationBudgetError
 
 __all__ = ["main"]
 
@@ -44,6 +45,9 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_VIOLATED = 2
 EXIT_NUMERICAL = 3
+
+# Evaluation budget of ``quad --algorithm taylor`` unless --max-evals is given.
+DEFAULT_MAX_EVALS = 1_000_000
 
 
 class CliError(Exception):
@@ -373,11 +377,15 @@ def _run_quad(args):
         }
     else:
         _require(args, "j")
-        data = checks.quad_check_sine(
-            args.d, args.j, args.seed,
-            amplitude=args.amplitude, a_norm=args.a_norm,
-            use_fd=args.fd, h=args.h,
-        )
+        max_evals = DEFAULT_MAX_EVALS if args.max_evals is None else args.max_evals
+        try:
+            data = checks.quad_check_sine(
+                args.d, args.j, args.seed,
+                amplitude=args.amplitude, a_norm=args.a_norm,
+                use_fd=args.fd, h=args.h, max_evals=max_evals,
+            )
+        except EvaluationBudgetError as exc:
+            raise CliError(f"{exc} (--max-evals)") from None
         provenance = {
             "value": "formula",
             "exact": "formula",
@@ -579,6 +587,10 @@ def build_parser() -> _Parser:
     p.add_argument("--lipschitz", type=_finite_float)
     p.add_argument("--fd", action="store_true", help="use finite differences")
     p.add_argument("--h", type=_finite_float)
+    # No argparse default: an unset budget stays out of the config echo.
+    p.add_argument("--max-evals", type=int,
+                   help="refuse a Taylor rule predicted to need more evaluations "
+                        f"(default {DEFAULT_MAX_EVALS:,})")
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--seed", type=int)
     p.set_defaults(run=_run_quad)

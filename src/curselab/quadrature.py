@@ -4,11 +4,14 @@ The one-point rule evaluates the integrand at the domain center (the
 cube midpoint or the ball origin, which is also the centroid).  The
 Taylor rule integrates the order-j Taylor polynomial at the cube
 center: odd moments vanish, so only multi-indices with all components
-even contribute, and the derivative of each surviving term comes either
-from an analytic oracle or from tensor-product central differences on a
-shared, exactly-keyed stencil cache.  ``evaluations_used`` counts the
-distinct points actually evaluated, so the binomial cost claims can be
-checked exactly.
+even contribute.  They are enumerated once, as an (m, d) int8 array in
+lexicographic order, and their weights prod_i cube_moment(beta_i) /
+beta_i! come from per-component lookup tables.  The derivatives come
+either from a batched analytic oracle, called once with the whole
+array, or from tensor-product central differences on a shared,
+exactly-keyed stencil cache.  ``evaluations_used`` counts the distinct
+points actually evaluated, so the binomial cost claims can be checked
+exactly, and an evaluation budget can refuse a rule before it runs.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .rng import mc_mean
 __all__ = [
     "Integrand",
     "QuadratureResult",
+    "EvaluationBudgetError",
     "StencilOutsideDomainError",
     "UnsupportedDomainError",
     "quad_one_point",
@@ -46,19 +50,24 @@ class UnsupportedDomainError(ValueError):
     """The requested rule has no closed moments on this domain."""
 
 
+class EvaluationBudgetError(ValueError):
+    """A rule's predicted number of evaluations exceeds the budget."""
+
+
 @dataclass
 class Integrand:
     """A function on a volume-one domain, with optional exact structure.
 
-    ``eval`` maps an (m, d) array to m values.  ``analytic_partial`` maps
-    ``(x, beta)`` to the exact partial derivative D^beta f(x); it is
-    what lets the Taylor rule spend one evaluation per multi-index
-    instead of a stencil.  ``exact_integral`` is used by test families
-    with closed-form integrals.
+    ``eval`` maps an (m, d) array to m values.  ``analytic_partial`` is
+    batched: it maps ``(x, betas)``, with ``betas`` an (m, d) integer
+    array of multi-indices, to the m exact partial derivatives
+    D^beta f(x); it is what lets the Taylor rule spend one evaluation
+    per multi-index instead of a stencil.  ``exact_integral`` is used by
+    test families with closed-form integrals.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
-    analytic_partial: Callable[[np.ndarray, tuple[int, ...]], float] | None = None
+    analytic_partial: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     exact_integral: float | None = None
 
     def value_at(self, x: np.ndarray) -> float:
@@ -165,23 +174,48 @@ def fd_partial(
     return acc / h**total
 
 
-def _even_multi_indices(d: int, j: int):
-    """All beta with every component even and |beta| <= j, lexicographic."""
-    result = []
-    _append_even(result, [], d, j // 2)
-    result.sort()
-    return result
+def _even_multi_indices(d: int, j: int) -> np.ndarray:
+    """All beta with every component even and |beta| <= j, lexicographic.
+
+    Returns an (m, d) int8 array, m = C(d + j//2, d), stored column by
+    column.  Each column is filled in one pass: every prefix so far has
+    a remaining half-budget r, column i splits it into r + 1 children
+    (component 2g, g = 0..r), and each child's component is repeated
+    once per completion of the later columns: C(d - i - 1 + s, s) rows
+    for the child's remaining half-budget s = r - g.
+    """
+    k = j // 2
+    columns = np.empty((d, math.comb(d + k, d)), dtype=np.int8)
+    remaining = np.array([k], dtype=np.int8)
+    for i in range(d):
+        children = remaining + 1
+        first_child = np.cumsum(children, dtype=np.int64) - children
+        g = (np.arange(int(children.sum())) - np.repeat(first_child, children)).astype(np.int8)
+        remaining = np.repeat(remaining, children) - g
+        completions = np.array([math.comb(d - i - 1 + r, r) for r in range(k + 1)])
+        columns[i] = np.repeat(2 * g, completions[remaining])
+    return columns.T
 
 
-def _append_even(result, prefix, remaining, budget):
-    # A module-level function, not a self-referencing closure: a closure
-    # would form a reference cycle that keeps ``result`` (C(d + j/2, d)
-    # tuples, 13 MB at d=30, j=8) alive until the cyclic collector runs.
-    if remaining == 0:
-        result.append(tuple(2 * g for g in prefix))
-        return
-    for g in range(budget + 1):
-        _append_even(result, prefix + [g], remaining - 1, budget - g)
+# Per-component factors of the Taylor weights, indexed by beta_i <= 8.
+_MOMENTS = np.array([cube_moment(b) for b in range(9)])
+_FACTORIALS = np.array([float(math.factorial(b)) for b in range(9)])
+
+
+def _column_product(tables, betas: np.ndarray, start: float = 1.0) -> np.ndarray:
+    """start * prod_i tables[i][betas[:, i]] per row, multiplied in coordinate order."""
+    out = np.full(len(betas), start, dtype=float)
+    for table, column in zip(tables, betas.T):
+        out *= table[column]
+    return out
+
+
+def _stencil_bound(betas: np.ndarray) -> int:
+    """sum over rows of prod_i (beta_i + 1): stencil nodes before sharing."""
+    sizes = np.ones(len(betas), dtype=np.int64)
+    for column in betas.T:
+        sizes *= column.astype(np.int64) + 1
+    return int(sizes.sum())
 
 
 def default_fd_step(order: int) -> float:
@@ -190,15 +224,25 @@ def default_fd_step(order: int) -> float:
 
 
 def quad_taylor(
-    f: Integrand, dom: DomainSpec, j: int, h: float | None = None
+    f: Integrand,
+    dom: DomainSpec,
+    j: int,
+    h: float | None = None,
+    max_evals: int | None = None,
 ) -> QuadratureResult:
     """Integrate the order-j Taylor polynomial of f at the cube center.
 
     Q = sum over multi-indices |beta| <= j of
     D^beta f(x*) / beta! * prod_i cube_moment(beta_i).  Terms with any
     odd component have zero moment and cost nothing.  The derivative
-    source is the analytic oracle when present, otherwise shared-cache
-    central differences; the summation order is fixed (lexicographic).
+    source is the analytic oracle when present (one batched call over
+    all multi-indices), otherwise shared-cache central differences; the
+    terms are summed one by one in lexicographic order.
+
+    With ``max_evals`` given, :class:`EvaluationBudgetError` is raised
+    before any evaluation when the number of multi-indices, or on the
+    finite-difference path the stencil bound sum_beta prod_i (beta_i + 1),
+    exceeds it; the first check runs before the enumeration.
     """
     if dom.kind != "cube":
         raise UnsupportedDomainError(
@@ -206,27 +250,37 @@ def quad_taylor(
         )
     if not 0 <= j <= 8:
         raise ValueError("order j must lie in [0, 8]")
-    x_star = dom.center
     analytic = f.analytic_partial is not None
-    cache: dict = {}
+    terms = math.comb(dom.d + j // 2, dom.d)
+    if max_evals is not None and terms > max_evals:
+        raise EvaluationBudgetError(
+            f"the order-{j} Taylor rule in d={dom.d} needs {terms} derivative "
+            f"evaluations, above the budget of {max_evals}"
+        )
+    betas = _even_multi_indices(dom.d, j)
+    if not analytic and max_evals is not None:
+        bound = _stencil_bound(betas)
+        if bound > max_evals:
+            raise EvaluationBudgetError(
+                f"the order-{j} finite-difference Taylor rule in d={dom.d} needs up to "
+                f"{bound} stencil evaluations, above the budget of {max_evals}"
+            )
+    x_star = dom.center
+    if analytic:
+        derivs = np.asarray(f.analytic_partial(x_star, betas), dtype=float)
+        used = terms
+    else:
+        cache: dict = {}
+        derivs = np.empty(terms)
+        for row, beta in enumerate(betas.tolist()):
+            step = h if h is not None else default_fd_step(sum(beta))
+            derivs[row] = fd_partial(f, x_star, beta, step, dom=dom, cache=cache)
+        used = len(cache)
+    fact = _column_product(itertools.repeat(_FACTORIALS), betas)
+    moment = _column_product(itertools.repeat(_MOMENTS), betas)
     value = 0.0
-    oracle_calls = 0
-    for beta in _even_multi_indices(dom.d, j):
-        moment = 1.0
-        for b in beta:
-            moment *= cube_moment(b)
-        fact = 1.0
-        for b in beta:
-            fact *= math.factorial(b)
-        if analytic:
-            deriv = float(f.analytic_partial(x_star, beta))
-            oracle_calls += 1
-        else:
-            order = sum(beta)
-            step = h if h is not None else default_fd_step(order)
-            deriv = fd_partial(f, x_star, beta, step, dom=dom, cache=cache)
-        value += deriv / fact * moment
-    used = oracle_calls if analytic else len(cache)
+    for term in (derivs / fact * moment).tolist():
+        value += term
     return QuadratureResult(
         value=value, evaluations_used=used, algorithm=f"taylor({j})"
     )
@@ -259,12 +313,19 @@ def make_sine_integrand(a: np.ndarray, b: float, amplitude: float = 0.1) -> Inte
     def evaluate(points: np.ndarray) -> np.ndarray:
         return amplitude * np.sin(np.atleast_2d(points) @ a + b)
 
-    def partial(x: np.ndarray, beta: tuple[int, ...]) -> float:
-        order = sum(beta)
-        coeff = amplitude
-        for ai, bi in zip(a, beta):
-            coeff *= ai**bi
-        return coeff * math.sin(float(np.dot(a, x)) + b + order * math.pi / 2.0)
+    def partial(x: np.ndarray, betas: np.ndarray) -> np.ndarray:
+        # Lookup tables of the scalar a_i ** b and of sin(<a, x> + b + o pi/2)
+        # per order o, so each value equals the one-index formula's.
+        betas = np.asarray(betas)
+        orders = betas.sum(axis=1)
+        exponents = range(int(betas.max(initial=0)) + 1)
+        powers = [np.array([ai**bi for bi in exponents]) for ai in a]
+        coeff = _column_product(powers, betas, amplitude)
+        phase0 = float(np.dot(a, x)) + b
+        phase = np.array(
+            [math.sin(phase0 + o * math.pi / 2.0) for o in range(int(orders.max(initial=0)) + 1)]
+        )
+        return coeff * phase[orders]
 
     return Integrand(
         eval=evaluate,

@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from curselab.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -317,3 +324,75 @@ def test_classify_names_a_non_positive_constant(capsys, argv, name):
     code, err = _one_line_error(capsys, argv)
     assert code == 1
     assert name in err and "positive" in err
+
+
+def test_quad_fd_over_budget_refused_before_running(capsys):
+    # sum over the 635,376 multi-indices of prod(beta_i + 1) = 45,231,136.
+    start = time.perf_counter()
+    code, err = _one_line_error(
+        capsys, ["quad", "--algorithm", "taylor", "--d", "60", "--j", "8", "--fd",
+                 "--seed", "1"],
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    assert "45231136" in err and "--max-evals" in err
+
+
+def test_quad_analytic_within_budget_runs(tmp_path):
+    code, payload = run_json(
+        ["quad", "--algorithm", "taylor", "--d", "60", "--j", "8", "--seed", "1"], tmp_path
+    )
+    assert code == 0
+    assert payload["results"]["evaluations_used"] == 635376 == math.comb(64, 4)
+    assert "max_evals" not in payload["config"]
+
+
+def test_quad_fd_readme_size_within_budget_runs(tmp_path):
+    # Stencil bound 8,695 at d=12, j=6.
+    code, payload = run_json(
+        ["quad", "--algorithm", "taylor", "--d", "12", "--j", "6", "--fd", "--seed", "7"],
+        tmp_path,
+    )
+    assert code == 0
+    assert payload["results"]["evaluations_used"] <= 8695
+
+
+def test_quad_max_evals_flag(tmp_path, capsys):
+    code, err = _one_line_error(
+        capsys, ["quad", "--algorithm", "taylor", "--d", "4", "--j", "2", "--seed", "3",
+                 "--max-evals", "4"],
+    )
+    assert code == 1
+    assert "5 derivative" in err
+    code, payload = run_json(
+        ["quad", "--algorithm", "taylor", "--d", "4", "--j", "2", "--seed", "3",
+         "--max-evals", "5"],
+        tmp_path,
+    )
+    assert code == 0
+    assert payload["config"]["max_evals"] == 5
+
+
+@pytest.mark.parametrize("flag", ["--amplitude", "--a-norm"])
+def test_quad_negative_scale_runs(tmp_path, capsys, flag):
+    code, payload = run_json(
+        ["quad", "--algorithm", "taylor", "--d", "5", "--j", "2", flag, "-1", "--seed", "1"],
+        tmp_path,
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    results = payload["results"]
+    assert results["error_bound"]["value"] > 0.0
+    assert results["error"]["value"] <= results["error_bound"]["value"]
+
+
+def test_quad_zero_dimension_prints_one_line():
+    # A subprocess, so that a numpy warning would reach stderr.
+    proc = subprocess.run(
+        [sys.executable, "-m", "curselab.cli", "quad", "--algorithm", "taylor",
+         "--d", "0", "--j", "2", "--seed", "1"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("curselab: error:"), proc.stderr

@@ -115,7 +115,7 @@ def _polynomial_integrand(powers, coeffs):
             total += term
         return total
 
-    def partial(x, beta):
+    def partial_one(x, beta):
         total = 0.0
         for power, coeff in zip(powers, coeffs):
             term = coeff
@@ -127,6 +127,9 @@ def _polynomial_integrand(powers, coeffs):
                 term *= math.perm(exponent, b) * (x[axis] - 0.5) ** (exponent - b)
             total += term
         return total
+
+    def partial(x, betas):
+        return np.array([partial_one(x, beta) for beta in betas.tolist()])
 
     exact = 0.0
     for power, coeff in zip(powers, coeffs):
@@ -181,11 +184,97 @@ def test_taylor_cost_with_finite_differences_counts_distinct_nodes():
 
 
 def _even_multi_indices_oracle(d, j):
+    # beta = 2 * (count of each coordinate in a multiset of size <= j // 2).
     out = []
-    for combo in itertools.product(range(j // 2 + 1), repeat=d):
-        if sum(combo) <= j // 2:
-            out.append(tuple(2 * g for g in combo))
+    for size in range(j // 2 + 1):
+        for combo in itertools.combinations_with_replacement(range(d), size):
+            out.append(tuple(2 * combo.count(axis) for axis in range(d)))
     return sorted(out)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 12])
+@pytest.mark.parametrize("j", range(9))
+def test_even_multi_indices_match_oracle_in_order(d, j):
+    betas = quadrature._even_multi_indices(d, j)
+    assert betas.dtype == np.int8
+    assert betas.shape == (math.comb(d + j // 2, d), d)
+    assert [tuple(beta) for beta in betas.tolist()] == _even_multi_indices_oracle(d, j)
+
+
+def _scalar_taylor(f, d, j, partial=None):
+    """The Taylor rule as a scalar loop over tuples, one term at a time."""
+    dom = geometry.DomainSpec.cube(d)
+    x_star = dom.center
+    betas = _even_multi_indices_oracle(d, j)
+    cache = {}
+    value = 0.0
+    for beta in betas:
+        moment = 1.0
+        for b in beta:
+            moment *= quadrature.cube_moment(b)
+        fact = 1.0
+        for b in beta:
+            fact *= math.factorial(b)
+        if partial is not None:
+            deriv = float(partial(x_star, beta))
+        else:
+            step = quadrature.default_fd_step(sum(beta))
+            deriv = quadrature.fd_partial(f, x_star, beta, step, dom=dom, cache=cache)
+        value += deriv / fact * moment
+    used = len(betas) if partial is not None else len(cache)
+    return value, used
+
+
+def _sine_case(d, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(d)
+    a /= np.linalg.norm(a)
+    b = float(rng.random() * 2.0 * math.pi)
+    amplitude = 0.1
+
+    def scalar_partial(x, beta):
+        coeff = amplitude
+        for ai, bi in zip(a, beta):
+            coeff *= ai**bi
+        return coeff * math.sin(float(np.dot(a, x)) + b + sum(beta) * math.pi / 2.0)
+
+    return quadrature.make_sine_integrand(a, b, amplitude), scalar_partial
+
+
+@pytest.mark.parametrize("d,j", [(20, 6), (8, 8), (30, 4)])
+def test_taylor_bit_identical_to_scalar_loop(d, j):
+    f, scalar_partial = _sine_case(d, seed=d + j)
+    dom = geometry.DomainSpec.cube(d)
+    result = quadrature.quad_taylor(f, dom, j)
+    assert (result.value, result.evaluations_used) == _scalar_taylor(f, d, j, scalar_partial)
+    betas = quadrature._even_multi_indices(d, j)
+    batched = f.analytic_partial(dom.center, betas)
+    assert batched.tolist() == [scalar_partial(dom.center, beta) for beta in betas.tolist()]
+
+
+def test_taylor_fd_bit_identical_to_scalar_loop():
+    d, j = 6, 4
+    sine, _ = _sine_case(d, seed=3)
+    f = quadrature.Integrand(eval=sine.eval, exact_integral=sine.exact_integral)
+    result = quadrature.quad_taylor(f, geometry.DomainSpec.cube(d), j)
+    assert (result.value, result.evaluations_used) == _scalar_taylor(f, d, j)
+
+
+def test_taylor_budget_refuses_before_evaluating():
+    def never(points):
+        raise AssertionError("evaluated despite the budget")
+
+    dom = geometry.DomainSpec.cube(4)
+    analytic = quadrature.Integrand(eval=never, analytic_partial=lambda x, betas: never(x))
+    with pytest.raises(quadrature.EvaluationBudgetError, match="15 derivative"):
+        quadrature.quad_taylor(analytic, dom, 4, max_evals=14)
+    # d=4, j=4: sum over the 15 indices of prod(beta_i + 1) = 1 + 4*3 + 4*5 + 6*9 = 87.
+    fd = quadrature.Integrand(eval=never)
+    with pytest.raises(quadrature.EvaluationBudgetError, match="up to 87 stencil"):
+        quadrature.quad_taylor(fd, dom, 4, max_evals=86)
+    assert quadrature.quad_taylor(
+        quadrature.make_sine_integrand(np.ones(4), 0.3), dom, 4, max_evals=15
+    ).evaluations_used == 15
 
 
 @pytest.mark.parametrize("d", [2, 4])
