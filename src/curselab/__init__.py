@@ -21,7 +21,6 @@ from .geometry import (
     DomainSpec,
     NormalizedRadius,
     SMALL_RADIUS_THRESHOLD,
-    ball_volume_bounds,
     lp_normalized_radius,
     lp_unit_ball_volume,
     radius_limit_ratio,
@@ -56,7 +55,6 @@ from .fooling import (
     ProfileP,
     certificate,
     fooling_c0,
-    fooling_c0_eval,
     fooling_c1,
     fooling_c1_eval,
     fooling_cinf,

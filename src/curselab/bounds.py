@@ -18,7 +18,7 @@ actually test; finite data tables could not certify any of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from scipy.special import gammaln
 
@@ -166,21 +166,9 @@ class SmoothnessProfile:
             return self.levels[j].d_exponent
         return self.tail.d_exponent(j)
 
-    def scaled(self, factor: float) -> "SmoothnessProfile":
-        """Profile with every L_{j,d} multiplied by ``factor`` > 0."""
-        if factor <= 0.0:
-            raise ValueError("factor must be positive")
-        shift = math.log(factor)
-        levels = tuple(replace(l, log_constant=l.log_constant + shift) for l in self.levels)
-        tail = None
-        if self.tail is not None:
-            tail = replace(self.tail, log_constant=self.tail.log_constant + shift)
-        return SmoothnessProfile(
-            k=self.k, derivative_kind=self.derivative_kind, levels=levels, tail=tail
-        )
-
-    def to_json_dict(self, d: int, max_order: int = 8) -> dict:
-        top = int(self.k) if not math.isinf(self.k) else max_order
+    def to_json_dict(self, d: int) -> dict:
+        """The bounds at dimension d, for orders 0..k (0..8 for infinite k)."""
+        top = int(self.k) if not math.isinf(self.k) else 8
         return {
             "k": "inf" if math.isinf(self.k) else int(self.k),
             "derivative_kind": self.derivative_kind,
@@ -203,23 +191,6 @@ class BoundReport:
     preconditions_met: bool
     note: str = ""
     extras: dict = field(default_factory=dict)
-
-    @property
-    def value(self) -> float:
-        return math.exp(self.log_value)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "log_value": self.log_value,
-            "rule": self.rule,
-            "direction": self.direction,
-            "preconditions_met": self.preconditions_met,
-        }
-        if self.note:
-            out["note"] = self.note
-        if self.extras:
-            out["extras"] = dict(self.extras)
-        return out
 
 
 def _failed(rule: str, direction: str, note: str) -> BoundReport:
@@ -502,7 +473,7 @@ def _curse_witness(profile: SmoothnessProfile) -> dict:
     return {"c": 0.5, "gamma": 1.0 / 7.0, "eps0": 0.5, "base": 8.0 / 7.0}
 
 
-def classify(profile: SmoothnessProfile, dom_family: str, **params) -> Verdict:
+def classify(profile: SmoothnessProfile, dom_family: str) -> Verdict:
     """Tractability verdict for a smoothness profile over a domain family.
 
     ``dom_family`` is one of ``cube``, ``small_radius`` (convex sets with

@@ -45,6 +45,12 @@ __all__ = [
 #: low indices used by Monte Carlo chunk loops.
 POINTS_STREAM = 1 << 32
 
+#: Points at which the c1 suite compares the gradient with central
+#: differences, and point pairs at which the smoothing suite compares
+#: smoothed means with the Lipschitz certificate.
+_GRAD_POINTS = 40
+_LIP_PAIRS = 4
+
 
 def random_point_set(dom: DomainSpec, n: int, seed: int) -> PointSet:
     """n domain points drawn from the dedicated substream of ``seed``."""
@@ -71,7 +77,6 @@ def _certified_far_points(
     dom: DomainSpec,
     threshold: float,
     count: int,
-    margin: float = 1e-6,
 ) -> np.ndarray:
     """Domain points whose hull distance certifiably exceeds ``threshold``."""
     out = []
@@ -79,17 +84,23 @@ def _certified_far_points(
     while len(out) < count and attempts < 200:
         attempts += 1
         cand = dom.sample(rng, max(64, count))
-        far = project_batch(ps, cand).distance > threshold * (1.0 + margin)
+        far = project_batch(ps, cand).distance > threshold * (1.0 + 1e-6)
         out.extend(cand[far][: count - len(out)])
     if len(out) < count:
         raise RuntimeError("could not find enough points far from the hull")
     return np.asarray(out)
 
 
+def _require_count(name: str, count: int) -> None:
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+
+
 def fool_check_c0(
     d: int, n: int, lipschitz: float, pairs: int, seed: int
 ) -> dict:
     """Sampled Lipschitz quotients and range of the c0 construction."""
+    _require_count("pairs", pairs)
     dom = DomainSpec.cube(d)
     ps = random_point_set(dom, n, seed)
     f = fooling_c0(ps, lipschitz)
@@ -122,7 +133,6 @@ def fool_check_c1(
     seed: int,
     zero_points: int = 1000,
     one_points: int = 1000,
-    grad_points: int = 40,
 ) -> dict:
     """The full C^1 construction suite.
 
@@ -134,6 +144,9 @@ def fool_check_c1(
     breakpoints and from changes of the hull face (relative error at
     most 1e-5 at step 1e-5 sqrt(d)).
     """
+    _require_count("pairs", pairs)
+    _require_count("zero_points", zero_points)
+    _require_count("one_points", one_points)
     dom = DomainSpec.cube(d)
     ps = random_point_set(dom, n, seed)
     f = fooling_c1(ps, delta)
@@ -196,13 +209,13 @@ def fool_check_c1(
     near_breakpoint = 0
     support_changes = 0
     attempts = 0
-    while checked < grad_points and attempts < 50:
+    while checked < _GRAD_POINTS and attempts < 50:
         attempts += 1
         # Anchor on the projection of a far point: every point of the
         # segment between a query and its hull projection projects to the
         # same point, so sliding along the ray sets the distance exactly.
-        anchors = dom.sample(rng_grad, 4 * grad_points)
-        targets = r * (1.0 + rng_grad.uniform(0.3, 0.7, size=4 * grad_points))
+        anchors = dom.sample(rng_grad, 4 * _GRAD_POINTS)
+        targets = r * (1.0 + rng_grad.uniform(0.3, 0.7, size=4 * _GRAD_POINTS))
         proj = project_batch(ps, anchors)
         far = proj.distance > targets
         u = (anchors[far] - proj.nearest[far]) / proj.distance[far, None]
@@ -235,7 +248,7 @@ def fool_check_c1(
             else:
                 max_rel = max(max_rel, float(rel[k]))
                 checked += 1
-                if checked == grad_points:
+                if checked == _GRAD_POINTS:
                     break
             k += 1
 
@@ -282,7 +295,6 @@ def smooth_check(
     k: int,
     samples: int,
     seed: int,
-    lip_pairs: int = 4,
 ) -> dict:
     """Convolution-smoothing suite with uniform weights and k kernels.
 
@@ -336,7 +348,7 @@ def smooth_check(
     max_allowance = 0.0
     lip_pass = True
     pair_rng = substream(seed, 4)
-    for i in range(lip_pairs):
+    for i in range(_LIP_PAIRS):
         base = pair_rng.dirichlet(np.ones(ps.n)) @ ps.points
         direction = pair_rng.standard_normal(d)
         direction /= np.linalg.norm(direction)
@@ -392,8 +404,10 @@ def quad_check_sine(
 ) -> dict:
     """Taylor rule against the closed-form sine integral and its bound.
 
-    ``max_evals`` is passed to :func:`quad_taylor`, which refuses the
-    rule before evaluating when its predicted cost exceeds it.
+    ``cost_pass`` compares the evaluations used with the count the rule
+    predicted before running (``evaluations_cap``).  ``max_evals`` is
+    passed to :func:`quad_taylor`, which refuses the rule before
+    evaluating when that prediction exceeds it.
     """
     dom = DomainSpec.cube(d)
     rng = substream(seed, 0)
@@ -409,8 +423,8 @@ def quad_check_sine(
     bound = ub_taylor(j, lip_j, d, 0.5)
     err = abs(result.value - f.exact_integral)
     fd_slack = 0.0 if not use_fd else 1e-5 * abs(amplitude) * (1.0 + abs(a_norm)) ** (j + 1)
-    max_terms = math.comb(d + j, j)
-    evals_cap = max_terms if not use_fd else max_terms * (j + 1) ** d
+    error_pass = err <= bound.extras["value"] + fd_slack
+    cost_pass = result.evaluations_used <= result.evaluations_cap
     return {
         "value": result.value,
         "exact": f.exact_integral,
@@ -418,11 +432,10 @@ def quad_check_sine(
         "error_bound": bound.extras["value"],
         "fd_slack": fd_slack,
         "evaluations_used": result.evaluations_used,
-        "evaluations_cap": evals_cap,
-        "error_pass": err <= bound.extras["value"] + fd_slack,
-        "cost_pass": result.evaluations_used <= evals_cap,
-        "pass": err <= bound.extras["value"] + fd_slack
-        and result.evaluations_used <= evals_cap,
+        "evaluations_cap": result.evaluations_cap,
+        "error_pass": error_pass,
+        "cost_pass": cost_pass,
+        "pass": error_pass and cost_pass,
     }
 
 

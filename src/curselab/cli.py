@@ -67,6 +67,20 @@ def _num(value, provenance: str) -> dict:
     return {"value": value, "provenance": provenance}
 
 
+def _tag_check(data: dict, formula_keys: set[str]) -> dict:
+    """Tag a check suite's floats (and lists of floats): ``formula`` for
+    ``formula_keys``, ``monte_carlo`` for the rest; other values pass as is."""
+    results = {}
+    for key, value in data.items():
+        provenance = "formula" if key in formula_keys else "monte_carlo"
+        if isinstance(value, float):
+            value = _num(value, provenance)
+        elif isinstance(value, list):
+            value = [_num(v, provenance) for v in value]
+        results[key] = value
+    return results
+
+
 def _sanitize(obj):
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
@@ -340,11 +354,7 @@ def _run_fool_check(args):
             args.d, args.n, args.delta, args.pairs, args.seed,
             zero_points=args.samples, one_points=args.samples,
         )
-    results = {
-        key: (_num(value, "monte_carlo") if isinstance(value, float) else value)
-        for key, value in data.items()
-    }
-    return results, data["pass"], None, None
+    return _tag_check(data, {"lipschitz_bound", "gradient_bound"}), data["pass"], None, None
 
 
 def _run_smooth_check(args):
@@ -352,15 +362,7 @@ def _run_smooth_check(args):
     data = checks.smooth_check(
         args.d, args.n, args.delta, args.k, args.samples, args.seed
     )
-    results = {}
-    for key, value in data.items():
-        if isinstance(value, float):
-            results[key] = _num(value, "monte_carlo")
-        elif isinstance(value, list):
-            results[key] = [_num(v, "monte_carlo") for v in value]
-        else:
-            results[key] = value
-    return results, data["pass"], None, None
+    return _tag_check(data, {"lipschitz_bound", "affine_target"}), data["pass"], None, None
 
 
 def _run_quad(args):
@@ -368,13 +370,7 @@ def _run_quad(args):
     if args.algorithm == "one-point":
         lip = args.lipschitz if args.lipschitz is not None else 1.0 / math.sqrt(args.d)
         data = checks.one_point_check_c0(args.d, lip, args.samples, args.seed)
-        provenance = {
-            "one_point_value": "formula",
-            "reference_mean": "monte_carlo",
-            "reference_half_width": "monte_carlo",
-            "error": "monte_carlo",
-            "error_bound": "formula",
-        }
+        formula_keys = {"one_point_value", "error_bound"}
     else:
         _require(args, "j")
         max_evals = DEFAULT_MAX_EVALS if args.max_evals is None else args.max_evals
@@ -386,18 +382,8 @@ def _run_quad(args):
             )
         except EvaluationBudgetError as exc:
             raise CliError(f"{exc} (--max-evals)") from None
-        provenance = {
-            "value": "formula",
-            "exact": "formula",
-            "error": "formula",
-            "error_bound": "formula",
-            "fd_slack": "formula",
-        }
-    results = {
-        key: (_num(value, provenance.get(key, "formula")) if isinstance(value, float) else value)
-        for key, value in data.items()
-    }
-    return results, data["pass"], None, None
+        formula_keys = set(data)  # no Taylor figure is sampled
+    return _tag_check(data, formula_keys), data["pass"], None, None
 
 
 _BOUND_BUILDERS = {

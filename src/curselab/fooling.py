@@ -45,7 +45,6 @@ __all__ = [
     "fooling_cinf",
     "FoolingValues",
     "fooling_eval_batch",
-    "fooling_c0_eval",
     "fooling_c1_eval",
     "smoothed_eval",
     "certificate",
@@ -141,9 +140,6 @@ class AlphaSequence:
     def values(self, k: int) -> np.ndarray:
         return np.array([self.alpha(j) for j in range(1, k + 1)])
 
-    def head_sum(self, k: int) -> float:
-        return float(self.values(k).sum())
-
     def tail_sum(self, k: int) -> float:
         """Sum of the weights beyond index k (zero for uniform sequences)."""
         if self.kind == "uniform":
@@ -234,20 +230,18 @@ class FoolingFunction:
     lipschitz: float | None = None
     seq: AlphaSequence | None = None
     kernels: int = 0
-    eta: float | None = None
-    tol: float = 1e-10
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Pointwise values; for smoothed variants this is the c1 base."""
         return fooling_eval_batch(
             self.hull, points, delta=self.delta, lipschitz=self.lipschitz,
-            tol=self.tol, gradients=False,
+            gradients=False,
         ).values
 
     def gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         if self.variant == "c0":
             raise ValueError("the c0 variant has no gradient")
-        return fooling_c1_eval(self.hull, self.delta, x, self.tol)
+        return fooling_c1_eval(self.hull, self.delta, x)
 
     def smoothed_estimate(
         self, x: np.ndarray, n_samples: int, seed: int
@@ -266,32 +260,26 @@ class FoolingFunction:
         lip = 2.0 / (self.delta * math.sqrt(self.hull.d))
         return lip * self.delta * math.sqrt(self.hull.d) * self.seq.tail_sum(self.kernels)
 
-    def certificate_json(self, max_order: int = 8) -> dict:
-        payload = self.certificate.to_json_dict(self.hull.d, max_order=max_order)
+    def certificate_json(self) -> dict:
+        payload = self.certificate.to_json_dict(self.hull.d)
         payload["variant"] = self.variant
         payload["delta"] = self.delta
         return payload
 
 
-def fooling_c0(hull: PointSet, lipschitz: float, tol: float = 1e-10) -> FoolingFunction:
+def fooling_c0(hull: PointSet, lipschitz: float) -> FoolingFunction:
     if lipschitz <= 0.0:
         raise ValueError("lipschitz must be positive")
     cert = certificate("c0", 0.0, hull.d, lipschitz=lipschitz)
-    return FoolingFunction(
-        variant="c0", hull=hull, certificate=cert, lipschitz=lipschitz, tol=tol
-    )
+    return FoolingFunction(variant="c0", hull=hull, certificate=cert, lipschitz=lipschitz)
 
 
-def fooling_c1(hull: PointSet, delta: float, tol: float = 1e-10) -> FoolingFunction:
+def fooling_c1(hull: PointSet, delta: float) -> FoolingFunction:
     cert = certificate("c1", delta, hull.d)
-    return FoolingFunction(
-        variant="c1", hull=hull, certificate=cert, delta=delta, tol=tol
-    )
+    return FoolingFunction(variant="c1", hull=hull, certificate=cert, delta=delta)
 
 
-def fooling_smoothed(
-    hull: PointSet, delta: float, k: int, tol: float = 1e-10
-) -> FoolingFunction:
+def fooling_smoothed(hull: PointSet, delta: float, k: int) -> FoolingFunction:
     """Class-order-k construction: the c1 base plus k-1 uniform kernels."""
     if k < 1:
         raise ValueError("class order k must be at least 1")
@@ -305,12 +293,11 @@ def fooling_smoothed(
         delta=delta,
         seq=seq,
         kernels=kernels,
-        tol=tol,
     )
 
 
 def fooling_cinf(
-    hull: PointSet, delta: float, eta: float = 1.0, k: int = 16, tol: float = 1e-10
+    hull: PointSet, delta: float, eta: float = 1.0, k: int = 16
 ) -> FoolingFunction:
     """Truncated infinite convolution with power weights (defaults k=16, eta=1)."""
     seq = make_alpha_sequence("power", eta=eta)
@@ -322,8 +309,6 @@ def fooling_cinf(
         delta=delta,
         seq=seq,
         kernels=k,
-        eta=eta,
-        tol=tol,
     )
 
 
@@ -341,7 +326,6 @@ def fooling_eval_batch(
     *,
     delta: float | None = None,
     lipschitz: float | None = None,
-    tol: float = 1e-10,
     gradients: bool = True,
 ) -> FoolingValues:
     """The c0 (``lipschitz`` given) or c1 (``delta`` given) construction at each row.
@@ -358,7 +342,7 @@ def fooling_eval_batch(
     if delta is not None and delta <= 0.0:
         raise ValueError("delta must be positive")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    proj = project_batch(hull, points, tol=tol)
+    proj = project_batch(hull, points)
     if lipschitz is not None:
         return FoolingValues(np.minimum(1.0, lipschitz * proj.distance), None, proj)
     r = delta * math.sqrt(hull.d)
@@ -378,20 +362,12 @@ def fooling_eval_batch(
     return FoolingValues(values, grads, proj)
 
 
-def fooling_c0_eval(
-    hull: PointSet, lipschitz: float, x: np.ndarray, tol: float = 1e-10
-) -> float:
-    """min{1, L * dist(x, hull)}."""
-    x = np.asarray(x, dtype=float).ravel()
-    return float(fooling_eval_batch(hull, x, lipschitz=lipschitz, tol=tol).values[0])
-
-
 def fooling_c1_eval(
-    hull: PointSet, delta: float, x: np.ndarray, tol: float = 1e-10
+    hull: PointSet, delta: float, x: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Value and gradient of the C^1 construction at x (a batch of one)."""
     x = np.asarray(x, dtype=float).ravel()
-    out = fooling_eval_batch(hull, x, delta=delta, tol=tol)
+    out = fooling_eval_batch(hull, x, delta=delta)
     return float(out.values[0]), out.gradients[0]
 
 

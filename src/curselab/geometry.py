@@ -30,7 +30,6 @@ __all__ = [
     "radius_limit_ratio",
     "solve_p_star",
     "p_star_lhs",
-    "ball_volume_bounds",
     "ball_volume_bounds_log",
     "euclidean_ball_volume_log",
     "SMALL_RADIUS_THRESHOLD",
@@ -76,10 +75,6 @@ class NormalizedRadius:
     d: int
     value: float
     ratio: float
-
-    @property
-    def log_value(self) -> float:
-        return math.log(self.value)
 
 
 def _lp_scale_log(p: float, d: int) -> float:
@@ -188,16 +183,6 @@ def ball_volume_bounds_log(d: int, delta: float) -> tuple[float, float, float]:
     return exact, crude, refined
 
 
-def _exp_clamped(x: float) -> float:
-    return math.exp(x) if x < 709.0 else math.inf
-
-
-def ball_volume_bounds(d: int, delta: float) -> tuple[float, float, float]:
-    """Linear-domain version of :func:`ball_volume_bounds_log` (inf on overflow)."""
-    exact, crude, refined = ball_volume_bounds_log(d, delta)
-    return _exp_clamped(exact), _exp_clamped(crude), _exp_clamped(refined)
-
-
 @dataclass(frozen=True)
 class DomainSpec:
     """A volume-one integration domain: open unit cube or rescaled lp ball.
@@ -213,7 +198,6 @@ class DomainSpec:
     p: float | None = None
     center: np.ndarray = field(repr=False, default=None)
     radius: float = 0.0
-    volume: float = 1.0
 
     @staticmethod
     def cube(d: int) -> "DomainSpec":
@@ -257,8 +241,9 @@ class DomainSpec:
             return 0.5
         return math.exp(_lp_scale_log(self.p, self.d))
 
-    def contains(self, x: np.ndarray, slack: float = 1e-12) -> np.ndarray:
-        """Boolean mask of rows of ``x`` lying in the (closed) domain."""
+    def contains(self, x: np.ndarray) -> np.ndarray:
+        """Boolean mask of rows of ``x`` lying in the closed domain, up to 1e-12."""
+        slack = 1e-12
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.d:
             raise ValueError(f"points have dimension {x.shape[1]}, expected {self.d}")

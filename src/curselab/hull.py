@@ -76,11 +76,6 @@ class PointSet:
                 raise ValueError(f"point {bad} lies outside the domain")
         self._norms2 = np.einsum("ij,ij->i", pts, pts)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in self.points:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
     @staticmethod
     def from_csv(path, domain=None) -> "PointSet":
         rows = []
@@ -147,6 +142,10 @@ class BatchProjection:
 #: working memory.
 _BLOCK = 512
 _BLOCK_ELEMENTS = 1 << 20
+
+#: Gilbert refinement rounds :func:`within_distance` runs before it hands
+#: the queries it could not decide to the exact solver.
+_REFINE_ITERS = 64
 
 
 def _affine_minimizer(gram: np.ndarray) -> np.ndarray:
@@ -324,17 +323,12 @@ def project_batch(
     return BatchProjection(ps.points, *out)
 
 
-def project_onto_hull(
-    x: np.ndarray,
-    ps: PointSet,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> HullProjection:
+def project_onto_hull(x: np.ndarray, ps: PointSet) -> HullProjection:
     """Project ``x`` onto the convex hull of ``ps``: a batch of one."""
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != ps.d:
         raise ValueError(f"query has dimension {x.shape[0]}, expected {ps.d}")
-    res = project_batch(ps, x[None, :], tol=tol, max_iter=max_iter)
+    res = project_batch(ps, x[None, :])
     support = np.flatnonzero(res.active[0])
     return HullProjection(
         nearest=res.nearest[0],
@@ -359,19 +353,15 @@ def slide_toward(nearest, distance, x, r: float) -> np.ndarray:
     return nearest + scale[..., None] * (x - nearest)
 
 
-def dist_to_neighborhood(
-    x: np.ndarray, ps: PointSet, delta: float, tol: float = 1e-10
-) -> float:
+def dist_to_neighborhood(x: np.ndarray, ps: PointSet, delta: float) -> float:
     """Distance from ``x`` to the delta*sqrt(d)-neighborhood of the hull."""
     if delta < 0.0:
         raise ValueError("delta must be non-negative")
-    proj = project_onto_hull(x, ps, tol=tol)
+    proj = project_onto_hull(x, ps)
     return max(0.0, proj.distance - delta * math.sqrt(ps.d))
 
 
-def project_onto_neighborhood(
-    x: np.ndarray, ps: PointSet, delta: float, tol: float = 1e-10
-) -> np.ndarray:
+def project_onto_neighborhood(x: np.ndarray, ps: PointSet, delta: float) -> np.ndarray:
     """Nearest point of the delta*sqrt(d)-neighborhood of the hull.
 
     Queries inside the neighborhood map to themselves; outside ones map
@@ -380,26 +370,20 @@ def project_onto_neighborhood(
     if delta < 0.0:
         raise ValueError("delta must be non-negative")
     x = np.asarray(x, dtype=float).ravel()
-    proj = project_onto_hull(x, ps, tol=tol)
+    proj = project_onto_hull(x, ps)
     r = delta * math.sqrt(ps.d)
     if proj.distance <= r:
         return x.copy()
     return slide_toward(proj.nearest, proj.distance, x, r)
 
 
-def within_distance(
-    ps: PointSet,
-    queries: np.ndarray,
-    r: float,
-    tol: float = 1e-10,
-    refine_iters: int = 64,
-) -> np.ndarray:
+def within_distance(ps: PointSet, queries: np.ndarray, r: float) -> np.ndarray:
     """Boolean mask: dist(query, hull) <= r, batched.
 
     Uses exact bracketing bounds first.  The nearest-vertex distance is
     an upper bound; the support function in the direction of the current
     residual is a lower bound; a Gilbert-type line search tightens both.
-    Queries whose bracket still straddles ``r`` after ``refine_iters``
+    Queries whose bracket still straddles ``r`` after ``_REFINE_ITERS``
     rounds are resolved by the exact Wolfe solver, so the classification
     agrees with :func:`project_onto_hull` whenever ``|dist - r|`` exceeds
     floating-point resolution.
@@ -428,7 +412,7 @@ def within_distance(
 
     x = queries[alive]
     y = pts[best[alive]]
-    for _ in range(refine_iters):
+    for _ in range(_REFINE_ITERS):
         z = x - y
         zn = np.linalg.norm(z, axis=1)
         zn = np.maximum(zn, 1e-300)
@@ -459,7 +443,7 @@ def within_distance(
         y = y + step[:, None] * w
 
     if alive.size:
-        result[alive] = project_batch(ps, x, tol=tol).distance <= r
+        result[alive] = project_batch(ps, x).distance <= r
     return result
 
 

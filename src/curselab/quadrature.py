@@ -76,24 +76,19 @@ class Integrand:
 
 @dataclass
 class QuadratureResult:
+    """A rule's value, the distinct points it evaluated, and the count it
+    predicted before running: exact for the one-point rule and the
+    analytic Taylor path, the stencil bound with finite differences."""
+
     value: float
     evaluations_used: int
-    algorithm: str  # "one_point" | "taylor(j)"
-    error_bound: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "value": self.value,
-            "evaluations_used": self.evaluations_used,
-            "error_bound": self.error_bound,
-        }
+    evaluations_cap: int
 
 
 def quad_one_point(f: Integrand, dom: DomainSpec) -> QuadratureResult:
     """Evaluate f at the domain center; one function value."""
     return QuadratureResult(
-        value=f.value_at(dom.center), evaluations_used=1, algorithm="one_point"
+        value=f.value_at(dom.center), evaluations_used=1, evaluations_cap=1
     )
 
 
@@ -239,10 +234,12 @@ def quad_taylor(
     all multi-indices), otherwise shared-cache central differences; the
     terms are summed one by one in lexicographic order.
 
-    With ``max_evals`` given, :class:`EvaluationBudgetError` is raised
-    before any evaluation when the number of multi-indices, or on the
-    finite-difference path the stencil bound sum_beta prod_i (beta_i + 1),
-    exceeds it; the first check runs before the enumeration.
+    The predicted cost, reported as ``evaluations_cap``, is the number
+    of multi-indices, or on the finite-difference path the stencil bound
+    sum_beta prod_i (beta_i + 1).  With ``max_evals`` given,
+    :class:`EvaluationBudgetError` is raised before any evaluation when
+    the prediction exceeds it; the multi-index count is checked before
+    the enumeration.
     """
     if dom.kind != "cube":
         raise UnsupportedDomainError(
@@ -258,13 +255,13 @@ def quad_taylor(
             f"evaluations, above the budget of {max_evals}"
         )
     betas = _even_multi_indices(dom.d, j)
-    if not analytic and max_evals is not None:
-        bound = _stencil_bound(betas)
-        if bound > max_evals:
-            raise EvaluationBudgetError(
-                f"the order-{j} finite-difference Taylor rule in d={dom.d} needs up to "
-                f"{bound} stencil evaluations, above the budget of {max_evals}"
-            )
+    cap = terms if analytic else _stencil_bound(betas)
+    # On the analytic path cap == terms, checked above.
+    if max_evals is not None and cap > max_evals:
+        raise EvaluationBudgetError(
+            f"the order-{j} finite-difference Taylor rule in d={dom.d} needs up to "
+            f"{cap} stencil evaluations, above the budget of {max_evals}"
+        )
     x_star = dom.center
     if analytic:
         derivs = np.asarray(f.analytic_partial(x_star, betas), dtype=float)
@@ -281,9 +278,7 @@ def quad_taylor(
     value = 0.0
     for term in (derivs / fact * moment).tolist():
         value += term
-    return QuadratureResult(
-        value=value, evaluations_used=used, algorithm=f"taylor({j})"
-    )
+    return QuadratureResult(value=value, evaluations_used=used, evaluations_cap=cap)
 
 
 def reference_integral(

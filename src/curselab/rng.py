@@ -21,6 +21,10 @@ __all__ = ["Z95", "substream", "chunk_sizes", "MonteCarloMean", "mc_mean"]
 
 Z95 = 1.959963984540054  # two-sided 95% quantile of the standard normal
 
+#: Samples per Monte Carlo chunk.  Chunk i draws from substream i, so
+#: this fixes every seeded stream; it also bounds each draw's array size.
+_CHUNK = 1 << 14
+
 
 def substream(seed: int, task_index: int = 0) -> np.random.Generator:
     """Generator for substream ``task_index`` of the stream keyed by ``seed``."""
@@ -32,12 +36,12 @@ def substream(seed: int, task_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def chunk_sizes(total: int, chunk: int = 1 << 14) -> list[int]:
+def chunk_sizes(total: int) -> list[int]:
     """Fixed chunking of ``total`` samples; independent of worker count."""
     if total < 0:
         raise ValueError("total must be non-negative")
-    full, rest = divmod(total, chunk)
-    sizes = [chunk] * full
+    full, rest = divmod(total, _CHUNK)
+    sizes = [_CHUNK] * full
     if rest:
         sizes.append(rest)
     return sizes

@@ -244,17 +244,6 @@ class VolumeEstimate:
         excess = self.mean - 3.0 * self.half_width_95
         return excess <= 0.0 or math.log(excess) <= self.bound_log
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "half_width_95": self.half_width_95,
-            "samples": self.samples,
-            "seed": self.seed,
-            "bound_log": self.bound_log,
-            "bound_source": self.bound_source,
-            "pass": self.passed,
-        }
-
 
 def _hit_fraction(
     draw, seed: int, n_samples: int, threads: int,
@@ -274,7 +263,6 @@ def mc_hull_neighborhood_volume(
     n_samples: int,
     seed: int,
     threads: int = 1,
-    tol: float = 1e-10,
 ) -> VolumeEstimate:
     """Estimate the volume of the hull neighborhood inside the domain.
 
@@ -299,7 +287,7 @@ def mc_hull_neighborhood_volume(
         bound_log, source = None, "none"
     r = delta * math.sqrt(dom.d)
     return _hit_fraction(
-        lambda rng, size: within_distance(ps, dom.sample(rng, size), r, tol=tol),
+        lambda rng, size: within_distance(ps, dom.sample(rng, size), r),
         seed, n_samples, threads, bound_log, source,
     )
 
@@ -310,7 +298,6 @@ def ball_tail_mass(
     big_r: float,
     n_samples: int,
     seed: int,
-    threads: int = 1,
 ) -> VolumeEstimate:
     """Mass of the domain at Euclidean distance >= big_r * sqrt(d) from x_star."""
     if n_samples < 1:
@@ -325,4 +312,4 @@ def ball_tail_mass(
     def draw(rng, size):
         return np.linalg.norm(dom.sample(rng, size) - x_star, axis=1) >= threshold
 
-    return _hit_fraction(draw, seed, n_samples, threads)
+    return _hit_fraction(draw, seed, n_samples, 1)

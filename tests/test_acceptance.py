@@ -134,7 +134,7 @@ def test_criterion_07_fooling_c1_suite():
     for d in (5, 20):
         res = fool_check_c1(
             d, 8, 1.0 / 200.0, pairs=10_000, seed=7_000 + d,
-            zero_points=1000, one_points=1000, grad_points=25,
+            zero_points=1000, one_points=1000,
         )
         ok = ok and res["pass"]
         details.append(

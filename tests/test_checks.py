@@ -35,3 +35,19 @@ def test_fool_check_c1_fd_gradient_detects_a_perturbed_gradient(monkeypatch):
     assert res["grad_fd_points"] == 40
     assert not res["grad_fd_pass"]
     assert res["grad_fd_max_rel_err"] > 1e-5
+
+
+@pytest.mark.parametrize("use_fd", [False, True])
+def test_quad_cost_check_fails_when_a_rule_exceeds_its_prediction(monkeypatch, use_fd):
+    exact = checks.quad_taylor
+
+    def overspent(*args, **kwargs):
+        result = exact(*args, **kwargs)
+        result.evaluations_used = result.evaluations_cap + 1
+        return result
+
+    monkeypatch.setattr(checks, "quad_taylor", overspent)
+    res = checks.quad_check_sine(6, 4, 2, use_fd=use_fd)
+    assert res["evaluations_used"] == res["evaluations_cap"] + 1
+    assert not res["cost_pass"] and not res["pass"]
+    assert res["error_pass"]

@@ -150,6 +150,43 @@ def test_smooth_check_small(tmp_path):
     assert payload["results"]["zero_pass"] is True
 
 
+@pytest.mark.parametrize("argv,formula,sampled", [
+    (["fool-check", "--variant", "c1", "--d", "3", "--n", "4", "--delta", "0.02",
+      "--pairs", "100", "--samples", "50", "--seed", "2"],
+     ["lipschitz_bound", "gradient_bound"],
+     ["max_lipschitz_quotient", "max_gradient_quotient", "grad_fd_max_rel_err"]),
+    (["fool-check", "--variant", "c0", "--d", "3", "--n", "4", "--pairs", "100",
+      "--seed", "2"],
+     ["lipschitz_bound"], ["max_lipschitz_quotient"]),
+    (["smooth-check", "--d", "3", "--n", "4", "--delta", "0.05", "--k", "2",
+      "--samples", "1000", "--seed", "6"],
+     ["lipschitz_bound", "affine_target"],
+     ["affine_mean", "constant_hook", "max_mean_quotient", "zero_means"]),
+])
+def test_check_provenance_tags(tmp_path, argv, formula, sampled):
+    code, payload = run_json(argv, tmp_path)
+    assert code == 0
+    results = payload["results"]
+    for key in formula:
+        assert results[key]["provenance"] == "formula", key
+    for key in sampled:
+        tagged = results[key] if isinstance(results[key], list) else [results[key]]
+        assert all(t["provenance"] == "monte_carlo" for t in tagged), key
+
+
+@pytest.mark.parametrize("argv,count", [
+    (["--variant", "c1", "--pairs", "0"], "pairs"),
+    (["--variant", "c0", "--pairs", "0"], "pairs"),
+    (["--variant", "c1", "--samples", "0"], "zero_points"),
+])
+def test_fool_check_rejects_empty_sample_counts(capsys, argv, count):
+    code, err = _one_line_error(
+        capsys, ["fool-check", "--d", "3", "--n", "4", "--delta", "0.02", "--seed", "2", *argv]
+    )
+    assert code == 1
+    assert f"{count} must be at least 1, got 0" in err
+
+
 def test_quad_taylor_subcommand(tmp_path):
     code, payload = run_json(
         ["quad", "--algorithm", "taylor", "--d", "4", "--j", "2", "--seed", "3"],
@@ -158,7 +195,7 @@ def test_quad_taylor_subcommand(tmp_path):
     assert code == 0
     results = payload["results"]
     assert results["error"]["value"] <= results["error_bound"]["value"]
-    assert results["evaluations_used"] == 5
+    assert results["evaluations_used"] == results["evaluations_cap"] == 5
 
 
 def test_quad_one_point_subcommand(tmp_path):

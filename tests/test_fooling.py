@@ -94,10 +94,9 @@ def test_c0_zero_on_hull(small_hull):
 def test_c0_clamp_and_linear_region():
     ps = hull.PointSet(np.array([[0.0, 0.0]]))
     lip = 2.0
-    assert fooling.fooling_c0_eval(ps, lip, np.array([3.0, 0.0])) == 1.0
-    assert fooling.fooling_c0_eval(ps, lip, np.array([0.25, 0.0])) == pytest.approx(
-        0.5, abs=1e-10
-    )
+    f = fooling.fooling_c0(ps, lip)
+    assert f(np.array([3.0, 0.0]))[0] == 1.0
+    assert f(np.array([0.25, 0.0]))[0] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_c1_zero_inside_neighborhood(small_hull):
@@ -195,7 +194,7 @@ def test_batch_evaluator_matches_one_row_calls(small_hull):
     assert c0.gradients is None
     assert np.array_equal(c0.values, np.minimum(1.0, 3.0 * out.projection.distance))
     for x, value in zip(pts[::10], c0.values[::10]):
-        assert abs(fooling.fooling_c0_eval(small_hull, 3.0, x) - value) <= 1e-12
+        assert abs(fooling.fooling_c0(small_hull, 3.0)(x)[0] - value) <= 1e-12
     with pytest.raises(ValueError):
         fooling.fooling_eval_batch(small_hull, pts)
     with pytest.raises(ValueError):
@@ -209,7 +208,7 @@ def test_batch_evaluator_matches_one_row_calls(small_hull):
 def test_uniform_sequence():
     seq = fooling.make_alpha_sequence("uniform", k=4)
     assert np.allclose(seq.values(4), 0.25)
-    assert seq.head_sum(4) == pytest.approx(1.0)
+    assert seq.values(4).sum() == pytest.approx(1.0)
     assert seq.tail_sum(4) == 0.0
 
 
@@ -222,9 +221,10 @@ def test_power_sequence_constant():
 @settings(max_examples=60, deadline=None)
 def test_power_partial_sums_at_most_one(k, eta):
     seq = fooling.make_alpha_sequence("power", eta=eta)
-    assert seq.head_sum(k) <= 1.0 + 1e-12
+    head = seq.values(k).sum()
+    assert head <= 1.0 + 1e-12
     assert seq.tail_sum(k) >= -1e-12
-    assert seq.head_sum(k) + seq.tail_sum(k) == pytest.approx(1.0, abs=1e-9)
+    assert head + seq.tail_sum(k) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sequence_validation():

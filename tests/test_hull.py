@@ -144,12 +144,12 @@ def test_projection_matches_grid_search(d, n, seed):
 def test_projection_nonexpansive():
     rng = np.random.default_rng(9)
     ps = hull.PointSet(rng.random((6, 4)))
-    tol = 1e-10
+    tol = 1e-10  # the solver's default
     for _ in range(200):
         x = rng.random(4) * 4.0 - 1.5
         y = rng.random(4) * 4.0 - 1.5
-        px = hull.project_onto_hull(x, ps, tol=tol).nearest
-        py = hull.project_onto_hull(y, ps, tol=tol).nearest
+        px = hull.project_onto_hull(x, ps).nearest
+        py = hull.project_onto_hull(y, ps).nearest
         lhs = np.linalg.norm(px - py)
         rhs = np.linalg.norm(x - y) * (1.0 + 10.0 * tol)
         assert lhs <= rhs + 1e-12
@@ -275,7 +275,7 @@ def test_point_set_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     ps = hull.PointSet(rng.random((7, 3)))
     path = tmp_path / "points.csv"
-    ps.to_csv(path)
+    path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in ps.points))
     back = hull.PointSet.from_csv(path)
     assert np.array_equal(back.points, ps.points)
 
@@ -358,9 +358,9 @@ def test_project_batch_reports_stalls_and_gaps():
     assert np.all(np.isfinite(strict.gap)) and np.all(strict.iterations >= 0)
     assert np.max(np.abs(strict.distance - normal.distance)) <= 1e-12
     i = int(np.argmax(strict.stalled))
-    one = hull.project_onto_hull(queries[i], ps, tol=1e-300)
-    assert one.stalled and one.gap == strict.gap[i]
-    assert one.iterations == strict.iterations[i]
+    one = hull.project_batch(ps, queries[i:i + 1], tol=1e-300)
+    assert one.stalled[0] and one.gap[0] == strict.gap[i]
+    assert one.iterations[0] == strict.iterations[i]
 
 
 def test_project_onto_hull_is_a_batch_of_one():
@@ -402,12 +402,13 @@ def test_within_distance_matches_scalar_reference(monkeypatch, d, n, seed, scale
     original = hull.project_batch
     fallback = []
 
-    def counting(ps_, x, tol=1e-10):
+    def counting(ps_, x):
         fallback.append(len(x))
-        return original(ps_, x, tol=tol)
+        return original(ps_, x)
 
     monkeypatch.setattr(hull, "project_batch", counting)
+    monkeypatch.setattr(hull, "_REFINE_ITERS", 4)
     for r in (0.05, 0.1, 0.3, 0.6):
-        mask = hull.within_distance(ps, queries, r, refine_iters=4)
+        mask = hull.within_distance(ps, queries, r)
         assert np.array_equal(mask, exact <= r)
     assert sum(fallback) > 0  # the exact fallback was exercised

@@ -3,6 +3,8 @@ not as a crashed traced benchmark run."""
 
 import importlib.util
 import pathlib
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -57,3 +59,20 @@ def test_tracer_install_then_uninstall_restores_every_original():
         assert ns.keys() == saved.keys()
         for key, obj in saved.items():
             assert ns[key] is obj, key
+
+
+def test_benchmark_selftest_runs_against_this_checkout(tmp_path):
+    # A copy, so the selftest's run records stay out of the checkout; its
+    # src/ is this one, so perfbench's calls must still bind to the library.
+    root = TRACER_PATH.parents[1]
+    shutil.copytree(
+        root / "perfbench", tmp_path / "perfbench",
+        ignore=shutil.ignore_patterns("runs", "__pycache__"),
+    )
+    shutil.copy(root / "BENCHMARK.json", tmp_path)
+    (tmp_path / "src").symlink_to(root / "src", target_is_directory=True)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

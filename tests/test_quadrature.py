@@ -17,7 +17,7 @@ def test_one_point_constant_exact():
     result = quadrature.quad_one_point(_constant_integrand(0.3), dom)
     assert result.value == 0.3
     assert result.evaluations_used == 1
-    assert result.algorithm == "one_point"
+    assert result.evaluations_cap == 1
 
 
 def test_one_point_affine_exact_on_cube():
@@ -157,7 +157,7 @@ def test_taylor_even_term_enumeration_count():
     f = quadrature.make_sine_integrand(np.ones(10) * 0.1, 0.2)
     result = quadrature.quad_taylor(f, dom, 3)
     # Contributing multi-indices: the zero index plus the d doubled axes.
-    assert result.evaluations_used == 1 + 10
+    assert result.evaluations_used == result.evaluations_cap == 1 + 10
     assert math.comb(10 + 3, 3) == 286
     assert 286 <= math.e**3 * 10**3
 
@@ -179,8 +179,9 @@ def test_taylor_cost_with_finite_differences_counts_distinct_nodes():
         for combo in itertools.product(*axis_offsets):
             nodes.add(tuple(0.5 + off for off in combo))
     assert result.evaluations_used == len(nodes)
-    max_stencil = (j + 1) ** d
-    assert result.evaluations_used <= math.comb(d + j, j) * max_stencil
+    # The predicted cost: every stencil node, before sharing.
+    stencils = sum(math.prod(b + 1 for b in beta) for beta in _even_multi_indices_oracle(d, j))
+    assert result.evaluations_cap == stencils > len(nodes)
 
 
 def _even_multi_indices_oracle(d, j):
@@ -341,19 +342,6 @@ def test_sine_integral_zero_coefficient_coordinates():
     exact_2d = quadrature.sine_integral_cube(np.array([1.3, 0.0]), 0.4)
     exact_1d = quadrature.sine_integral_cube(np.array([1.3]), 0.4)
     assert exact_2d == pytest.approx(exact_1d, rel=1e-14)
-
-
-def test_quadrature_result_serialization():
-    result = quadrature.QuadratureResult(
-        value=0.5, evaluations_used=3, algorithm="taylor(2)", error_bound=0.1
-    )
-    payload = result.to_json_dict()
-    assert payload == {
-        "algorithm": "taylor(2)",
-        "value": 0.5,
-        "evaluations_used": 3,
-        "error_bound": 0.1,
-    }
 
 
 def test_one_point_error_within_gradient_class_bound():

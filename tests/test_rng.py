@@ -25,7 +25,7 @@ def test_substream_validation():
 
 def test_chunk_sizes_cover_total():
     assert sum(chunk_sizes(100_000)) == 100_000
-    assert chunk_sizes(5, chunk=2) == [2, 2, 1]
+    assert chunk_sizes(2 * (1 << 14) + 1) == [1 << 14, 1 << 14, 1]
     assert chunk_sizes(0) == []
     with pytest.raises(ValueError):
         chunk_sizes(-1)

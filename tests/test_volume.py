@@ -236,7 +236,7 @@ def test_mc_volume_bound_sources():
     assert est.bound_source == "small_radius"
 
 
-def test_volume_estimate_json_fields():
+def test_volume_estimate_passes_below_bound():
     est = volume.VolumeEstimate(
         mean=0.25,
         half_width_95=0.01,
@@ -245,17 +245,8 @@ def test_volume_estimate_json_fields():
         bound_log=math.log(0.5),
         bound_source="cube",
     )
-    payload = est.to_json_dict()
-    assert set(payload) == {
-        "mean",
-        "half_width_95",
-        "samples",
-        "seed",
-        "bound_log",
-        "bound_source",
-        "pass",
-    }
-    assert payload["pass"] is True
+    assert est.passed is True
+    assert est.bound == pytest.approx(0.5)
 
 
 def test_binomial_half_width_branches():
