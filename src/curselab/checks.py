@@ -22,7 +22,7 @@ from .fooling import (
     smoothed_eval,
 )
 from .geometry import DomainSpec
-from .hull import PointSet, project_batch
+from .hull import PointSet, _bracket, _solver_slack, project_batch
 from .quadrature import (
     Integrand,
     make_sine_integrand,
@@ -78,13 +78,22 @@ def _certified_far_points(
     threshold: float,
     count: int,
 ) -> np.ndarray:
-    """Domain points whose hull distance certifiably exceeds ``threshold``."""
+    """Domain points whose hull distance certifiably exceeds ``threshold``.
+
+    A candidate qualifies when its solver distance exceeds the threshold
+    by a relative 1e-6; the distance bracket settles the candidates well
+    away from that cut and the solver only the rest.
+    """
+    cut = threshold * (1.0 + 1e-6)
+    slack = _solver_slack(cut)
     out = []
     attempts = 0
     while len(out) < count and attempts < 200:
         attempts += 1
         cand = dom.sample(rng, max(64, count))
-        far = project_batch(ps, cand).distance > threshold * (1.0 + 1e-6)
+        near, far = _bracket(ps, cand, cut - slack, cut + slack)
+        undecided = np.flatnonzero(~(near | far))
+        far[undecided] = project_batch(ps, cand[undecided]).distance > cut
         out.extend(cand[far][: count - len(out)])
     if len(out) < count:
         raise RuntimeError("could not find enough points far from the hull")
@@ -131,22 +140,20 @@ def fool_check_c1(
     delta: float,
     pairs: int,
     seed: int,
-    zero_points: int = 1000,
-    one_points: int = 1000,
+    samples: int = 1000,
 ) -> dict:
     """The full C^1 construction suite.
 
     Checks, at the given dimension: sampled Lipschitz quotient against
     2/(delta sqrt(d)); sampled gradient-Lipschitz quotient against
-    40/(delta^2 d); exact zero on sampled neighborhood points; exact one
-    on points certified beyond the double neighborhood; and agreement of
-    the analytic gradient with central differences away from the ramp
-    breakpoints and from changes of the hull face (relative error at
-    most 1e-5 at step 1e-5 sqrt(d)).
+    40/(delta^2 d); exact zero at ``samples`` sampled neighborhood
+    points; exact one at ``samples`` points certified beyond the double
+    neighborhood; and agreement of the analytic gradient with central
+    differences away from the ramp breakpoints and from changes of the
+    hull face (relative error at most 1e-5 at step 1e-5 sqrt(d)).
     """
     _require_count("pairs", pairs)
-    _require_count("zero_points", zero_points)
-    _require_count("one_points", one_points)
+    _require_count("samples", samples)
     dom = DomainSpec.cube(d)
     ps = random_point_set(dom, n, seed)
     f = fooling_c1(ps, delta)
@@ -181,12 +188,12 @@ def fool_check_c1(
     range_pass = bool(np.all((vals_x >= 0.0) & (vals_x <= 1.0)))
 
     rng_zero = substream(seed, 2)
-    zeros = _sample_hull_neighborhood(rng_zero, ps, r, zero_points)
+    zeros = _sample_hull_neighborhood(rng_zero, ps, r, samples)
     zero_vals = f(zeros)
     zeros_exact = int(np.count_nonzero(zero_vals == 0.0))
 
     rng_one = substream(seed, 3)
-    fars = _certified_far_points(rng_one, ps, dom, 2.0 * r, one_points)
+    fars = _certified_far_points(rng_one, ps, dom, 2.0 * r, samples)
     one_vals = f(fars)
     ones_exact = int(np.count_nonzero(one_vals == 1.0))
 
@@ -220,11 +227,15 @@ def fool_check_c1(
         far = proj.distance > targets
         u = (anchors[far] - proj.nearest[far]) / proj.distance[far, None]
         points = proj.nearest[far] + targets[far, None] * u
+        # Distances and active sets come from the evaluations' own
+        # projections, indexed by projection row; mid-ramp points are
+        # never settled by the distance bracket, so they are all there.
         centre = fooling_eval_batch(ps, points, delta=delta)
         gap = centre.projection.distance - r
         on_ramp = np.flatnonzero((0.25 * r <= gap) & (gap <= 0.8 * r))
         breaks = np.abs(gap[on_ramp, None] - root_breaks).min(axis=1) <= step
-        stencil_rows = on_ramp[~breaks]
+        kept = on_ramp[~breaks]
+        stencil_rows = centre.projected[kept]
         nodes = (points[stencil_rows, None, :] + offsets).reshape(-1, d)
         stencil = fooling_eval_batch(ps, nodes, delta=delta, gradients=False)
         values = stencil.values.reshape(-1, 2, d)
@@ -233,9 +244,13 @@ def fool_check_c1(
         rel = np.linalg.norm(fd - grad, axis=1) / np.maximum(
             np.linalg.norm(grad, axis=1), 1e-300
         )
-        active = stencil.projection.active.reshape(-1, 2 * d, ps.n)
+        # A node the bracket settled has left the ramp: no active set,
+        # so its stencil counts as a change of face.
+        active = np.zeros((len(nodes), ps.n), dtype=bool)
+        active[stencil.projected] = stencil.projection.active
         same_face = np.all(
-            active == centre.projection.active[stencil_rows, None, :], axis=(1, 2)
+            active.reshape(-1, 2 * d, ps.n) == centre.projection.active[kept, None, :],
+            axis=(1, 2),
         )
         # Visit the candidates in draw order until enough are checked.
         k = 0
@@ -262,11 +277,11 @@ def fool_check_c1(
         "gradient_bound": l1,
         "gradient_pass": max_gq <= l1 * (1.0 + 1e-6),
         "zeros_exact": zeros_exact,
-        "zeros_total": zero_points,
-        "zeros_pass": zeros_exact == zero_points,
+        "zeros_total": samples,
+        "zeros_pass": zeros_exact == samples,
         "ones_exact": ones_exact,
-        "ones_total": one_points,
-        "ones_pass": ones_exact == one_points,
+        "ones_total": samples,
+        "ones_pass": ones_exact == samples,
         "grad_fd_max_rel_err": max_rel,
         "grad_fd_points": checked,
         "grad_fd_near_breakpoint": near_breakpoint,

@@ -199,6 +199,92 @@ def _require(args, *names):
             raise CliError(f"--{name.replace('_', '-')} is required")
 
 
+def _subparser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return subparsers.choices[name]
+
+
+def _given(parser: argparse.ArgumentParser, argv: list[str], subcommand: str) -> set[str]:
+    """Destinations that ``argv`` sets explicitly; overwrites the subparser's defaults."""
+    unset = object()
+    sub = _subparser(parser, subcommand)
+    sub.set_defaults(**{action.dest: unset for action in sub._actions})
+    return {k for k, v in vars(parser.parse_args(argv)).items() if v is not unset}
+
+
+# Flags that only some modes of a subcommand read, and what each mode reads.
+_CONSTANTS_READS = {
+    "gamma": {"delta", "eta", "check_below"},
+    "gamma_tilde": {"delta", "check_below"},
+    "p_star": {"tol"},
+    "radius": {"p", "d"},
+    "limit_ratio": {"p"},
+    "ball_volume": {"p", "d"},
+}
+_BOUNDS_READS = {
+    "lipschitz-lower": {"eps", "eps_list", "lip", "a"},
+    "gradient-cube-lower": {"eps", "eps_list"},
+    "higher-lower": {"eps", "eps_list", "growth"},
+    "one-point-c0": {"lip", "big_r", "tail"},
+    "one-point-c1": {"lip_grad", "diam", "ball_variant"},
+    "taylor-upper": {"j", "lip", "big_r"},
+    "qpt-cost": {"eps", "eps_list", "c", "a"},
+    "unit-class-cost": {"eps", "eps_list", "rad"},
+    "uwt-witness": {"m", "k", "alpha"},
+}
+_CLASSIFY_TAIL = {"level0", "tail_constant", "tail_base", "tail_factorial_power",
+                  "tail_shift", "tail_u", "tail_v"}
+
+
+def _mode_reads(args) -> tuple[str, set[str], set[str]] | None:
+    """The chosen mode, the flags only some modes read, and those this one reads.
+
+    None where the subcommand has one mode, or where its runner will
+    refuse the mode itself.
+    """
+    if args.subcommand == "fool-check":
+        reads = {"lipschitz"} if args.variant == "c0" else {"delta", "samples"}
+        return f"--variant {args.variant}", {"delta", "lipschitz", "samples"}, reads
+    if args.subcommand == "quad":
+        flags = {"j", "amplitude", "a_norm", "lipschitz", "fd", "h", "max_evals", "samples"}
+        if args.algorithm == "one-point":
+            return "--algorithm one-point", flags, {"lipschitz", "samples"}
+        reads = {"j", "amplitude", "a_norm", "max_evals"} | ({"fd", "h"} if args.fd else set())
+        return f"--algorithm taylor {'--fd' if args.fd else 'without --fd'}", flags, reads
+    if args.subcommand == "volume" and args.points_csv:
+        return "--points-csv", {"n"}, set()
+    if args.subcommand == "constants":
+        chosen = [name for name in _CONSTANTS_READS if getattr(args, name)]
+        if len(chosen) == 1:
+            flags = set().union(*_CONSTANTS_READS.values())
+            return f"--{chosen[0].replace('_', '-')}", flags, _CONSTANTS_READS[chosen[0]]
+    if args.subcommand == "bounds" and args.which in _BOUNDS_READS:
+        flags = set().union(*_BOUNDS_READS.values())
+        reads = _BOUNDS_READS[args.which]
+        if args.which == "one-point-c1" and args.ball_variant:
+            reads = reads | {"big_r", "tail"}
+        return f"--which {args.which}", flags, reads
+    if args.subcommand == "classify" and args.k is not None:
+        if args.k == "inf":
+            return "--k inf", _CLASSIFY_TAIL | {"levels"}, _CLASSIFY_TAIL
+        return f"--k {args.k}", _CLASSIFY_TAIL | {"levels"}, {"levels"}
+    return None
+
+
+def _refuse_unread(args, given: set[str]) -> None:
+    """A flag given for a mode that never reads it is an error, not a no-op."""
+    mode = _mode_reads(args)
+    if mode is None:
+        return
+    name, flags, reads = mode
+    unread = sorted((given & flags) - reads)
+    if unread:
+        listed = ", ".join(f"--{flag.replace('_', '-')}" for flag in unread)
+        raise CliError(f"{args.subcommand} {name} does not read {listed}")
+
+
 def _parse_domain(name: str, d: int) -> geo.DomainSpec:
     if name == "cube":
         return geo.DomainSpec.cube(d)
@@ -351,8 +437,7 @@ def _run_fool_check(args):
     else:
         _require(args, "delta")
         data = checks.fool_check_c1(
-            args.d, args.n, args.delta, args.pairs, args.seed,
-            zero_points=args.samples, one_points=args.samples,
+            args.d, args.n, args.delta, args.pairs, args.seed, samples=args.samples
         )
     return _tag_check(data, {"lipschitz_bound", "gradient_bound"}), data["pass"], None, None
 
@@ -631,16 +716,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        config = {}
         if args.config is not None:
             # Config-file values become defaults of the chosen subparser
             # and the flags are parsed again, so explicit flags always win.
-            subparsers = next(
-                a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction)
-            )
-            sub = subparsers.choices[args.subcommand]
-            sub.set_defaults(**_coerce_config(_load_config(args.config), sub))
+            sub = _subparser(parser, args.subcommand)
+            config = _coerce_config(_load_config(args.config), sub)
+            sub.set_defaults(**config)
             args = parser.parse_args(argv)
+        _refuse_unread(args, _given(parser, argv, args.subcommand) | set(config))
         if args.subcommand in _RANDOMIZED and getattr(args, "seed", None) is None:
             raise CliError(f"{args.subcommand} requires an explicit --seed")
         if getattr(args, "threads", 1) < 1:

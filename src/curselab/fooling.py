@@ -30,7 +30,14 @@ import numpy as np
 from scipy.special import zeta
 
 from .bounds import SmoothnessProfile, TailRule
-from .hull import BatchProjection, PointSet, project_batch, slide_toward
+from .hull import (
+    BatchProjection,
+    PointSet,
+    _bracket,
+    _solver_slack,
+    project_batch,
+    slide_toward,
+)
 from .rng import mc_mean
 
 __all__ = [
@@ -313,11 +320,17 @@ def fooling_cinf(
 
 
 class FoolingValues(NamedTuple):
-    """Values at a batch of points, c1 gradients, and the hull projection."""
+    """Values at a batch of points, c1 gradients, and the hull projection.
+
+    ``projection`` holds the exact solver's results for the rows listed
+    in ``projected`` (ascending), one projection row per listed row; its
+    size is how many rows the evaluation sent to :func:`project_batch`.
+    """
 
     values: np.ndarray  # (m,)
     gradients: np.ndarray | None  # (m, d); None for c0 or when not asked for
     projection: BatchProjection
+    projected: np.ndarray  # (p,) row indices; every row for c0
 
 
 def fooling_eval_batch(
@@ -330,10 +343,14 @@ def fooling_eval_batch(
 ) -> FoolingValues:
     """The c0 (``lipschitz`` given) or c1 (``delta`` given) construction at each row.
 
-    c0: min{1, L * dist(x, hull)}.  c1: with phi(x) = dist(x, K_delta)^2
-    the value is p(phi(x)) and the gradient is
-    p'(phi(x)) * 2 (x - P_{K_delta}(x)), computed unless ``gradients``
-    is false.  One batched hull projection serves every row.
+    c0: min{1, L * dist(x, hull)}, from one batched hull projection of
+    every row.  c1: with phi(x) = dist(x, K_delta)^2 the value is
+    p(phi(x)) and the gradient is p'(phi(x)) * 2 (x - P_{K_delta}(x)),
+    computed unless ``gradients`` is false.  Rows that the distance
+    bracket certifies within K_delta or beyond K_{2 delta}, widened by
+    the solver's slack, take 0 or 1 with a zero gradient, exactly what
+    the projection would give them; only the rows in between are
+    projected, in one batch.
     """
     if (delta is None) == (lipschitz is None):
         raise ValueError("give exactly one of delta (c1) and lipschitz (c0)")
@@ -342,24 +359,31 @@ def fooling_eval_batch(
     if delta is not None and delta <= 0.0:
         raise ValueError("delta must be positive")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    proj = project_batch(hull, points)
     if lipschitz is not None:
-        return FoolingValues(np.minimum(1.0, lipschitz * proj.distance), None, proj)
+        proj = project_batch(hull, points)
+        values = np.minimum(1.0, lipschitz * proj.distance)
+        return FoolingValues(values, None, proj, np.arange(points.shape[0]))
     r = delta * math.sqrt(hull.d)
+    slack = _solver_slack(r)
+    zero, one = _bracket(hull, points, r - slack, 2.0 * r + slack)
+    rows = np.flatnonzero(~(zero | one))
+    proj = project_batch(hull, points[rows])
     values = np.zeros(points.shape[0])
+    values[one] = 1.0
     ramp = np.flatnonzero(proj.distance - r > 0.0)
     gap = proj.distance[ramp] - r
     value, deriv = profile_eval(ProfileP(delta, hull.d), gap * gap)
-    values[ramp] = value
+    values[rows[ramp]] = value
     if not gradients:
-        return FoolingValues(values, None, proj)
+        return FoolingValues(values, None, proj, rows)
     grads = np.zeros(points.shape)
     moving = deriv != 0.0
-    rows = ramp[moving]
+    at = ramp[moving]  # projection rows with a nonzero gradient
+    x = points[rows[at]]
     # Nearest point of K_delta: slide from the hull projection toward x.
-    nearest_nb = slide_toward(proj.nearest[rows], proj.distance[rows], points[rows], r)
-    grads[rows] = 2.0 * deriv[moving, None] * (points[rows] - nearest_nb)
-    return FoolingValues(values, grads, proj)
+    nearest_nb = slide_toward(proj.nearest[at], proj.distance[at], x, r)
+    grads[rows[at]] = 2.0 * deriv[moving, None] * (x - nearest_nb)
+    return FoolingValues(values, grads, proj, rows)
 
 
 def fooling_c1_eval(

@@ -9,14 +9,19 @@ query's best vertex or retires the query, once the duality gap
 point.  Every query gets its nearest point, distance, dense convex
 weights, active set, cycle count, final gap and a stall flag.
 :func:`project_onto_hull` is a batch of one; the neighborhood helpers,
-the fooling functions, the check suites and the exact fallback of
-:func:`within_distance` all go through the same solver.
+the fooling functions and the check suites all go through the same
+solver.
 
-For Monte Carlo volume estimation millions of queries hit the same
-point set, so :func:`within_distance` classifies whole batches with
-cheap exact bounds (nearest-vertex upper bound, support-function lower
-bound, a vectorized Gilbert refinement) and solves only the few queries
-the bounds cannot decide, in one batch.
+Many callers only need to know on which side of a radius a query's
+hull distance lies.  One bracket classifier, :func:`_bracket`, settles
+most queries with cheap certified bounds (nearest-vertex upper bound,
+support-function lower bound, a vectorized Gilbert refinement) and
+leaves the rest to the solver, in one batch.  It is behind
+:func:`within_distance` (the Monte Carlo volume estimators' millions of
+queries against one point set) and behind the c1 fooling values, which
+are exactly 0 or 1 outside a ramp and need the exact distance only on
+it; :func:`_solver_slack` widens the bracket there so that its verdicts
+are the ones the solver would give.
 """
 
 from __future__ import annotations
@@ -143,9 +148,12 @@ class BatchProjection:
 _BLOCK = 512
 _BLOCK_ELEMENTS = 1 << 20
 
-#: Gilbert refinement rounds :func:`within_distance` runs before it hands
-#: the queries it could not decide to the exact solver.
+#: Gilbert refinement rounds :func:`_bracket` runs before it hands the
+#: queries it could not decide to the exact solver.
 _REFINE_ITERS = 64
+
+#: Default duality-gap tolerance of :func:`project_batch`.
+_TOL = 1e-10
 
 
 def _affine_minimizer(gram: np.ndarray) -> np.ndarray:
@@ -284,7 +292,7 @@ def _wolfe_block(ps: PointSet, queries: np.ndarray, tol: float, max_iter: int):
 def project_batch(
     ps: PointSet,
     queries: np.ndarray,
-    tol: float = 1e-10,
+    tol: float = _TOL,
     max_iter: int | None = None,
 ) -> BatchProjection:
     """Project every row of ``queries`` onto the hull of ``ps``.
@@ -377,42 +385,53 @@ def project_onto_neighborhood(x: np.ndarray, ps: PointSet, delta: float) -> np.n
     return slide_toward(proj.nearest, proj.distance, x, r)
 
 
-def within_distance(ps: PointSet, queries: np.ndarray, r: float) -> np.ndarray:
-    """Boolean mask: dist(query, hull) <= r, batched.
+def _solver_slack(r: float) -> float:
+    """Room around ``r`` inside which the bracket defers to the exact solver.
 
-    Uses exact bracketing bounds first.  The nearest-vertex distance is
-    an upper bound; the support function in the direction of the current
-    residual is a lower bound; a Gilbert-type line search tightens both.
-    Queries whose bracket still straddles ``r`` after ``_REFINE_ITERS``
-    rounds are resolved by the exact Wolfe solver, so the classification
-    agrees with :func:`project_onto_hull` whenever ``|dist - r|`` exceeds
-    floating-point resolution.
+    The distance W that :func:`project_batch` reports is that of a hull
+    point, so W >= D, the true distance.  A query it retires by its
+    stopping rule (at the default ``tol``) has a duality gap at most
+    ``tol * (1 + W)``, and that gap is at least ``W * (W - D)``; so
+    ``D <= r - tol * (1 + r) / r`` gives ``W <= r``.  The slack is twice
+    that: the second half covers rounding in the bracket's bounds (the
+    nearest-vertex bound loses about 1e-16 times the squared coordinate
+    norms over r, far below ``tol / r`` on this package's domains).  A
+    query whose solver stalled is not covered.
     """
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    if queries.shape[1] != ps.d:
-        raise ValueError("query dimension mismatch")
-    if r < 0.0:
-        raise ValueError("r must be non-negative")
+    return 2.0 * _TOL * (1.0 + r) / r if r > 0.0 else math.inf
+
+
+def _bracket(
+    ps: PointSet, queries: np.ndarray, r_in: float, r_out: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the rows certified within ``r_in`` and beyond ``r_out`` of the hull.
+
+    No row is in both; rows in neither are undecided and are left to the
+    exact solver.  The nearest-vertex distance is an upper bound; the
+    support function in the direction of the current residual is a lower
+    bound; a Gilbert-type line search tightens both for up to
+    ``_REFINE_ITERS`` rounds.  A row stops refining once neither verdict
+    can be reached (lower bound above ``r_in``, upper bound at most
+    ``r_out``), which never happens when ``r_in == r_out``.
+    """
     pts = ps.points
     m = queries.shape[0]
-    result = np.zeros(m, dtype=bool)
+    inside = np.zeros(m, dtype=bool)
+    outside = np.zeros(m, dtype=bool)
 
     # Nearest vertex: d2[i, k] = ||x_i - p_k||^2.
     cross = queries @ pts.T
     q2 = np.einsum("ij,ij->i", queries, queries)
     d2 = q2[:, None] + ps._norms2[None, :] - 2.0 * cross
     best = np.argmin(d2, axis=1)
-    ub = np.sqrt(np.maximum(d2[np.arange(m), best], 0.0))
-
-    inside = ub <= r
-    result[inside] = True
+    inside[:] = np.sqrt(np.maximum(d2[np.arange(m), best], 0.0)) <= r_in
     alive = np.flatnonzero(~inside)
-    if alive.size == 0:
-        return result
 
     x = queries[alive]
     y = pts[best[alive]]
     for _ in range(_REFINE_ITERS):
+        if not alive.size:
+            break
         z = x - y
         zn = np.linalg.norm(z, axis=1)
         zn = np.maximum(zn, 1e-300)
@@ -421,17 +440,11 @@ def within_distance(ps: PointSet, queries: np.ndarray, r: float) -> np.ndarray:
         zx = np.einsum("ij,ij->i", z, x)
         sup_idx = np.argmax(zp, axis=1)
         lb = (zx - zp[np.arange(len(alive)), sup_idx]) / zn
-        ub_now = zn
-
-        is_in = ub_now <= r
-        is_out = lb > r
-        if np.any(is_in):
-            result[alive[is_in]] = True
-        done = is_in | is_out
-        if np.all(done):
-            alive = np.array([], dtype=int)
-            break
-        keep = ~done
+        is_in = zn <= r_in
+        is_out = lb > r_out
+        inside[alive[is_in]] = True
+        outside[alive[is_out]] = True
+        keep = ~(is_in | is_out | ((lb > r_in) & (zn <= r_out)))
         alive = alive[keep]
         x = x[keep]
         y = y[keep]
@@ -441,10 +454,27 @@ def within_distance(ps: PointSet, queries: np.ndarray, r: float) -> np.ndarray:
         step = np.einsum("ij,ij->i", x - y, w) / np.maximum(wn2, 1e-300)
         step = np.clip(step, 0.0, 1.0)
         y = y + step[:, None] * w
+    return inside, outside
 
-    if alive.size:
-        result[alive] = project_batch(ps, x).distance <= r
-    return result
+
+def within_distance(ps: PointSet, queries: np.ndarray, r: float) -> np.ndarray:
+    """Boolean mask: dist(query, hull) <= r, batched.
+
+    :func:`_bracket` decides what its bounds can; the queries whose
+    bracket still straddles ``r`` are resolved by the exact Wolfe solver,
+    so the classification agrees with :func:`project_onto_hull` whenever
+    ``|dist - r|`` exceeds floating-point resolution.
+    """
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    if queries.shape[1] != ps.d:
+        raise ValueError("query dimension mismatch")
+    if r < 0.0:
+        raise ValueError("r must be non-negative")
+    inside, outside = _bracket(ps, queries, r, r)
+    undecided = np.flatnonzero(~(inside | outside))
+    if undecided.size:
+        inside[undecided] = project_batch(ps, queries[undecided]).distance <= r
+    return inside
 
 
 def elekes_cover_check(

@@ -10,9 +10,12 @@ same no matter how many threads draw the chunks.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +50,54 @@ def chunk_sizes(total: int) -> list[int]:
     return sizes
 
 
+@cache
+def _openblas_threads() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS in this process.
+
+    The libraries are found in ``/proc/self/maps``; numpy and scipy each
+    bundle one, under prefixed symbol names.  Empty where there is none.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted(set(re.findall(r"(/\S*openblas\S*\.so\S*)", fh.read())))
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    found.append((get, put))
+    return tuple(found)
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Run OpenBLAS on one thread inside the block, then restore its count.
+
+    Pool workers each call BLAS; at its default thread count every call
+    would start as many BLAS threads as there are cores.  The count is
+    process-wide, so two such blocks must not overlap in time.
+    """
+    libs = _openblas_threads()
+    before = [get() for get, _ in libs]
+    for _, put in libs:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(libs, before):
+            put(count)
+
+
 class MonteCarloMean(NamedTuple):
     """Result of :func:`mc_mean`; the half-width is the 95% normal one."""
 
@@ -61,15 +112,20 @@ def mc_mean(draw, seed: int, n_samples: int, threads: int = 1) -> MonteCarloMean
 
     Chunk i draws from ``substream(seed, i)`` with its size from
     :func:`chunk_sizes`.  With ``threads > 1`` a thread pool draws the
-    chunks and the calling thread reduces them in chunk order.  Sums run
-    relative to the first value, so constant draws give exact means and
-    zero half-widths; boolean draws sum exactly.
+    chunks, with OpenBLAS held to one thread meanwhile, and the calling
+    thread reduces them in chunk order.  Sums run relative to the first
+    value, so constant draws give exact means and zero half-widths;
+    boolean draws sum exactly.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     sizes = chunk_sizes(n_samples)
     shift = total = total_sq = 0.0
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+    pooled = threads > 1
+    with (
+        _single_threaded_blas() if pooled else nullcontext(),
+        ThreadPoolExecutor(threads) if pooled else nullcontext() as pool,
+    ):
         chunks = (pool.map if pool else map)(
             lambda i: draw(substream(seed, i), sizes[i]), range(len(sizes))
         )

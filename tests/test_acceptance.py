@@ -133,8 +133,7 @@ def test_criterion_07_fooling_c1_suite():
     details = []
     for d in (5, 20):
         res = fool_check_c1(
-            d, 8, 1.0 / 200.0, pairs=10_000, seed=7_000 + d,
-            zero_points=1000, one_points=1000,
+            d, 8, 1.0 / 200.0, pairs=10_000, seed=7_000 + d, samples=1000,
         )
         ok = ok and res["pass"]
         details.append(

@@ -1,6 +1,6 @@
 import pytest
 
-from curselab import checks
+from curselab import checks, fooling
 
 # Seeds on which the finite-difference gradient sub-check used to fail
 # at the README configuration: a stencil spanning a change of projection
@@ -51,3 +51,39 @@ def test_quad_cost_check_fails_when_a_rule_exceeds_its_prediction(monkeypatch, u
     assert res["evaluations_used"] == res["evaluations_cap"] + 1
     assert not res["cost_pass"] and not res["pass"]
     assert res["error_pass"]
+
+
+def test_smooth_check_projects_few_of_its_value_queries(monkeypatch):
+    # The distance bracket settles the exact-zero and exact-one regions;
+    # a change that projects every row again fails this count.
+    exact = fooling.fooling_eval_batch
+    rows = [0, 0]
+
+    def counting(*args, **kwargs):
+        out = exact(*args, **kwargs)
+        rows[0] += len(out.values)
+        rows[1] += out.projected.size
+        return out
+
+    monkeypatch.setattr(fooling, "fooling_eval_batch", counting)
+    assert checks.smooth_check(5, 8, 0.05, 3, 2000, 1)["pass"]
+    assert rows[0] == 32_000
+    assert rows[1] <= 0.2 * rows[0]
+
+
+@pytest.mark.parametrize("scale,failing", [(0.5, "zeros_pass"), (2.0, "ones_pass")])
+def test_fool_check_c1_zero_and_one_checks_can_fail(monkeypatch, scale, failing):
+    # The zero and one points are drawn for delta; a function built for a
+    # smaller (larger) delta is nonzero near the hull (below one far out).
+    exact = checks.fooling_c1
+    monkeypatch.setattr(checks, "fooling_c1", lambda ps, delta: exact(ps, scale * delta))
+    res = checks.fool_check_c1(5, 8, 0.05, pairs=200, seed=1, samples=200)
+    assert not res[failing] and not res["pass"]
+
+
+@pytest.mark.parametrize("scale,failing", [(0.5, "zero_pass"), (2.0, "one_pass")])
+def test_smooth_check_zero_and_one_checks_can_fail(monkeypatch, scale, failing):
+    exact = checks.fooling_c1
+    monkeypatch.setattr(checks, "fooling_c1", lambda ps, delta: exact(ps, scale * delta))
+    res = checks.smooth_check(5, 8, 0.05, 3, 2000, 1)
+    assert not res[failing] and not res["pass"]

@@ -175,16 +175,65 @@ def test_check_provenance_tags(tmp_path, argv, formula, sampled):
 
 
 @pytest.mark.parametrize("argv,count", [
-    (["--variant", "c1", "--pairs", "0"], "pairs"),
+    (["--variant", "c1", "--delta", "0.02", "--pairs", "0"], "pairs"),
     (["--variant", "c0", "--pairs", "0"], "pairs"),
-    (["--variant", "c1", "--samples", "0"], "zero_points"),
+    (["--variant", "c1", "--delta", "0.02", "--samples", "0"], "samples"),
 ])
 def test_fool_check_rejects_empty_sample_counts(capsys, argv, count):
     code, err = _one_line_error(
-        capsys, ["fool-check", "--d", "3", "--n", "4", "--delta", "0.02", "--seed", "2", *argv]
+        capsys, ["fool-check", "--d", "3", "--n", "4", "--seed", "2", *argv]
     )
     assert code == 1
     assert f"{count} must be at least 1, got 0" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fool-check", "--variant", "c0", "--d", "5", "--n", "8", "--samples", "0",
+      "--delta", "5", "--seed", "1"],
+     "fool-check --variant c0 does not read --delta, --samples"),
+    (["fool-check", "--variant", "c1", "--d", "5", "--n", "8", "--delta", "0.1",
+      "--lipschitz", "2", "--seed", "1"],
+     "fool-check --variant c1 does not read --lipschitz"),
+    (["quad", "--algorithm", "one-point", "--d", "10", "--j", "99", "--fd", "--h", "-1",
+      "--max-evals", "5", "--seed", "1"],
+     "quad --algorithm one-point does not read --fd, --h, --j, --max-evals"),
+    (["quad", "--algorithm", "taylor", "--d", "4", "--j", "2", "--h", "0.1", "--seed", "1"],
+     "quad --algorithm taylor without --fd does not read --h"),
+    (["quad", "--algorithm", "taylor", "--d", "4", "--j", "2", "--samples", "9",
+      "--seed", "1"],
+     "quad --algorithm taylor without --fd does not read --samples"),
+    (["constants", "--p-star", "--d", "3"], "constants --p-star does not read --d"),
+    (["bounds", "--which", "taylor-upper", "--d", "10", "--j", "3", "--eps", "0.1"],
+     "bounds --which taylor-upper does not read --eps"),
+    (["classify", "--k", "inf", "--family", "cube", "--level0", "1:0",
+      "--tail-constant", "1", "--levels", "1:0"],
+     "classify --k inf does not read --levels"),
+])
+def test_flags_the_mode_does_not_read_are_refused(capsys, argv, message):
+    code, err = _one_line_error(capsys, argv)
+    assert code == 1
+    assert message in err
+
+
+def test_config_keys_the_mode_does_not_read_are_refused(tmp_path, capsys):
+    cfg = tmp_path / "c0.cfg"
+    cfg.write_text("variant=c0\nd=3\nn=4\npairs=50\nseed=2\n")
+    assert run_cli(["fool-check", "--config", str(cfg)], tmp_path)[0] == 0
+    cfg.write_text("variant=c0\nd=3\nn=4\npairs=50\nseed=2\nsamples=10\n")
+    code, err = _one_line_error(capsys, ["fool-check", "--config", str(cfg)])
+    assert code == 1
+    assert "fool-check --variant c0 does not read --samples" in err
+
+
+def test_volume_points_csv_does_not_read_n(tmp_path, capsys):
+    csv = tmp_path / "pts.csv"
+    csv.write_text("0.25,0.25\n")
+    code, err = _one_line_error(
+        capsys, ["volume", "--domain", "cube", "--d", "2", "--points-csv", str(csv),
+                 "--n", "3", "--delta", "0.05", "--samples", "2000", "--seed", "3"],
+    )
+    assert code == 1
+    assert "volume --points-csv does not read --n" in err
 
 
 def test_quad_taylor_subcommand(tmp_path):

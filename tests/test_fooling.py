@@ -192,13 +192,74 @@ def test_batch_evaluator_matches_one_row_calls(small_hull):
         assert np.allclose(one_grad, grad, rtol=0.0, atol=1e-9)
     c0 = fooling.fooling_eval_batch(small_hull, pts, lipschitz=3.0)
     assert c0.gradients is None
-    assert np.array_equal(c0.values, np.minimum(1.0, 3.0 * out.projection.distance))
+    assert np.array_equal(c0.projected, np.arange(len(pts)))
+    assert np.array_equal(c0.values, np.minimum(1.0, 3.0 * c0.projection.distance))
     for x, value in zip(pts[::10], c0.values[::10]):
         assert abs(fooling.fooling_c0(small_hull, 3.0)(x)[0] - value) <= 1e-12
     with pytest.raises(ValueError):
         fooling.fooling_eval_batch(small_hull, pts)
     with pytest.raises(ValueError):
         fooling.fooling_eval_batch(small_hull, pts, delta=delta, lipschitz=3.0)
+
+
+def _full_projection_c1(ps, points, delta):
+    """The c1 evaluator without the distance bracket: every row is projected."""
+    proj = hull.project_batch(ps, points)
+    r = delta * math.sqrt(ps.d)
+    values = np.zeros(len(points))
+    ramp = np.flatnonzero(proj.distance - r > 0.0)
+    gap = proj.distance[ramp] - r
+    value, deriv = fooling.profile_eval(fooling.ProfileP(delta, ps.d), gap * gap)
+    values[ramp] = value
+    grads = np.zeros(points.shape)
+    moving = deriv != 0.0
+    rows = ramp[moving]
+    nearest_nb = hull.slide_toward(proj.nearest[rows], proj.distance[rows], points[rows], r)
+    grads[rows] = 2.0 * deriv[moving, None] * (points[rows] - nearest_nb)
+    return values, grads
+
+
+def _on_rays(ps, rng, distances):
+    """Points at the given hull distances, on rays from hull projections."""
+    anchors = 3.0 * rng.random((len(distances), ps.d)) - 1.0
+    proj = hull.project_batch(ps, anchors)
+    u = (anchors - proj.nearest) / proj.distance[:, None]
+    return proj.nearest + distances[:, None] * u
+
+
+@pytest.mark.parametrize("delta", [0.005, 0.05, 0.2])
+def test_bracket_first_c1_matches_full_projection_bit_for_bit(delta):
+    rng = np.random.default_rng(17)
+    d = 5
+    ps = hull.PointSet(0.25 + 0.5 * rng.random((8, d)))
+    r = delta * math.sqrt(d)
+    band = np.linspace(-1e-6, 1e-6, 101)
+    distances = np.concatenate([
+        np.linspace(0.0, 3.0 * r, 601),
+        r * (1.0 + band),
+        2.0 * r * (1.0 + band),
+    ])
+    points = _on_rays(ps, rng, distances)
+    out = fooling.fooling_eval_batch(ps, points, delta=delta)
+    values, grads = _full_projection_c1(ps, points, delta)
+    assert np.array_equal(out.values, values)
+    assert np.array_equal(out.gradients, grads)
+    # Both paths ran: the bracket settled some rows and the solver the rest,
+    # and the projection covers exactly the rows it lists.
+    assert 0 < out.projected.size < len(points)
+    assert out.projection.distance.shape == out.projected.shape
+    settled = np.setdiff1d(np.arange(len(points)), out.projected)
+    assert set(np.unique(out.values[settled])) == {0.0, 1.0}
+    assert not np.any(out.gradients[settled])
+
+
+def test_ramp_points_near_the_bracket_cuts_keep_ramp_values(small_hull):
+    delta = 0.08
+    r = delta * 2.0
+    points = _on_rays(small_hull, np.random.default_rng(3), r * np.array([1.01, 1.99]))
+    values = fooling.fooling_c1(small_hull, delta)(points)
+    assert values[0] > 0.0
+    assert values[1] < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curselab import rng
 from curselab.rng import chunk_sizes, mc_mean, substream
 
 
@@ -49,3 +50,28 @@ def test_mc_mean_constant_draw_is_exact():
     assert est.mean == 0.1
     assert est.half_width_95 == 0.0
     assert est.chunks == 5
+
+
+def test_mc_mean_pool_workers_run_blas_single_threaded():
+    blas = rng._openblas_threads()
+    if not blas:
+        pytest.skip("no OpenBLAS in this process")
+    get, put = blas[0]
+    original = get()
+    put(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS cannot run two threads here")
+        seen = []
+
+        def draw(gen, size):
+            seen.append(get())
+            return gen.random(size)
+
+        mc_mean(draw, 5, 3 * (1 << 14), threads=2)
+        assert seen == [1, 1, 1]
+        assert get() == 2  # restored after the pool
+        mc_mean(draw, 5, 1 << 14)
+        assert seen[-1] == 2  # a single-threaded call leaves BLAS alone
+    finally:
+        put(original)
