@@ -22,7 +22,7 @@ from .fooling import (
     smoothed_eval,
 )
 from .geometry import DomainSpec
-from .hull import PointSet, _bracket, _solver_slack, project_batch
+from .hull import PointSet, project_batch, within_distance
 from .quadrature import (
     Integrand,
     make_sine_integrand,
@@ -81,19 +81,15 @@ def _certified_far_points(
     """Domain points whose hull distance certifiably exceeds ``threshold``.
 
     A candidate qualifies when its solver distance exceeds the threshold
-    by a relative 1e-6; the distance bracket settles the candidates well
-    away from that cut and the solver only the rest.
+    by a relative 1e-6, the verdict :func:`within_distance` gives.
     """
     cut = threshold * (1.0 + 1e-6)
-    slack = _solver_slack(cut)
     out = []
     attempts = 0
     while len(out) < count and attempts < 200:
         attempts += 1
         cand = dom.sample(rng, max(64, count))
-        near, far = _bracket(ps, cand, cut - slack, cut + slack)
-        undecided = np.flatnonzero(~(near | far))
-        far[undecided] = project_batch(ps, cand[undecided]).distance > cut
+        far = ~within_distance(ps, cand, cut)
         out.extend(cand[far][: count - len(out)])
     if len(out) < count:
         raise RuntimeError("could not find enough points far from the hull")

@@ -33,8 +33,7 @@ from .bounds import SmoothnessProfile, TailRule
 from .hull import (
     BatchProjection,
     PointSet,
-    _bracket,
-    _solver_slack,
+    bracket,
     project_batch,
     slide_toward,
 )
@@ -346,11 +345,11 @@ def fooling_eval_batch(
     c0: min{1, L * dist(x, hull)}, from one batched hull projection of
     every row.  c1: with phi(x) = dist(x, K_delta)^2 the value is
     p(phi(x)) and the gradient is p'(phi(x)) * 2 (x - P_{K_delta}(x)),
-    computed unless ``gradients`` is false.  Rows that the distance
-    bracket certifies within K_delta or beyond K_{2 delta}, widened by
-    the solver's slack, take 0 or 1 with a zero gradient, exactly what
-    the projection would give them; only the rows in between are
-    projected, in one batch.
+    computed unless ``gradients`` is false.  One call of the hull's
+    distance verdict (:func:`curselab.hull.bracket`) at ``r`` and
+    ``2r`` settles the rows within K_delta or beyond K_{2 delta}, which
+    take 0 or 1 with a zero gradient, exactly what the projection would
+    give them, and projects the rows in between, in one batch.
     """
     if (delta is None) == (lipschitz is None):
         raise ValueError("give exactly one of delta (c1) and lipschitz (c0)")
@@ -364,10 +363,7 @@ def fooling_eval_batch(
         values = np.minimum(1.0, lipschitz * proj.distance)
         return FoolingValues(values, None, proj, np.arange(points.shape[0]))
     r = delta * math.sqrt(hull.d)
-    slack = _solver_slack(r)
-    zero, one = _bracket(hull, points, r - slack, 2.0 * r + slack)
-    rows = np.flatnonzero(~(zero | one))
-    proj = project_batch(hull, points[rows])
+    _, one, rows, proj = bracket(hull, points, r, 2.0 * r)
     values = np.zeros(points.shape[0])
     values[one] = 1.0
     ramp = np.flatnonzero(proj.distance - r > 0.0)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln
 
 __all__ = [
@@ -104,19 +103,16 @@ def lp_normalized_radius(p: float, d: int) -> NormalizedRadius:
 def radius_limit_ratio(p: float) -> float:
     """Limit of radius/sqrt(d) for the volume-one lp balls as d grows.
 
-    Infinite for p in [1,2); 1/(2 (p e)^{1/p} Gamma(1+1/p)) for p in [2,inf);
-    1/2 for p = inf.
+    Infinite for p in [1,2); ``1 / p_star_lhs(p)`` = 1/(2 (p e)^{1/p}
+    Gamma(1+1/p)) for p in [2,inf], which is 1/2 at p = inf.
     """
-    p = _check_p(p)
-    if math.isinf(p):
-        return 0.5
-    if p < 2.0:
+    if _check_p(p) < 2.0:
         return math.inf
-    return 1.0 / (2.0 * (p * math.e) ** (1.0 / p) * math.exp(gammaln(1.0 + 1.0 / p)))
+    return 1.0 / p_star_lhs(p)
 
 
 def p_star_lhs(p: float) -> float:
-    """2 (p e)^{1/p} Gamma(1+1/p), the reciprocal of twice the limit ratio."""
+    """2 (p e)^{1/p} Gamma(1+1/p), the reciprocal of the limit ratio."""
     p = _check_p(p)
     if math.isinf(p):
         return 2.0
@@ -127,8 +123,9 @@ def solve_p_star(tol: float) -> float:
     """Critical exponent where the limit radius ratio crosses the decay threshold.
 
     Solves 2 (p e)^{1/p} Gamma(1+1/p) = sqrt(pi e / 2) on (2, 1e6) by
-    bisection down to a bracket of width one followed by Brent refinement;
-    the residual of the returned root is below ``tol``.
+    bisection until no float lies between the bracket ends (65 steps),
+    then returns the end with the smaller residual, which must be below
+    ``tol``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -141,18 +138,16 @@ def solve_p_star(tol: float) -> float:
     f_lo, f_hi = residual(lo), residual(hi)
     if f_lo * f_hi >= 0.0:
         raise RuntimeError("bracketing interval [2, 1e6] does not change sign")
-    # Bisection to width one keeps Brent away from the flat far tail.
-    while hi - lo > 1.0:
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         f_mid = residual(mid)
         if f_lo * f_mid <= 0.0:
             hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
-    root = brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    if abs(residual(root)) >= tol:
-        raise RuntimeError(f"root residual {residual(root):.3e} exceeds tol {tol:.3e}")
-    return float(root)
+    root, f_root = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+    if abs(f_root) >= tol:
+        raise RuntimeError(f"root residual {f_root:.3e} exceeds tol {tol:.3e}")
+    return root
 
 
 def euclidean_ball_volume_log(d: int, radius: float) -> float:

@@ -13,15 +13,15 @@ the fooling functions and the check suites all go through the same
 solver.
 
 Many callers only need to know on which side of a radius a query's
-hull distance lies.  One bracket classifier, :func:`_bracket`, settles
-most queries with cheap certified bounds (nearest-vertex upper bound,
-support-function lower bound, a vectorized Gilbert refinement) and
-leaves the rest to the solver, in one batch.  It is behind
-:func:`within_distance` (the Monte Carlo volume estimators' millions of
-queries against one point set) and behind the c1 fooling values, which
-are exactly 0 or 1 outside a ramp and need the exact distance only on
-it; :func:`_solver_slack` widens the bracket there so that its verdicts
-are the ones the solver would give.
+hull distance lies.  One verdict, :func:`bracket`, answers that for
+the whole library: cheap certified bounds (nearest-vertex upper bound,
+support-function lower bound, a vectorized Gilbert refinement) settle
+most queries, and the solver projects the rest in the same call.  Both
+cuts are widened by the solver's own slack, so a settled query gets the
+verdict the solver would give it.  :func:`within_distance` (the Monte
+Carlo volume estimators and the far-point sampler of the checks) asks
+it at one radius; the c1 fooling values ask it at ``r`` and ``2r``,
+since they are exactly 0 or 1 outside that ramp.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ class BatchProjection:
 _BLOCK = 512
 _BLOCK_ELEMENTS = 1 << 20
 
-#: Gilbert refinement rounds :func:`_bracket` runs before it hands the
+#: Gilbert refinement rounds :func:`bracket` runs before it hands the
 #: queries it could not decide to the exact solver.
 _REFINE_ITERS = 64
 
@@ -396,24 +396,32 @@ def _solver_slack(r: float) -> float:
     that: the second half covers rounding in the bracket's bounds (the
     nearest-vertex bound loses about 1e-16 times the squared coordinate
     norms over r, far below ``tol / r`` on this package's domains).  A
-    query whose solver stalled is not covered.
+    query whose solver stalled is not covered.  At ``r = 0`` the slack
+    is zero: a query certified within 0 is a vertex, where the solver
+    reports 0, and one certified beyond 0 has D > 0, so W > 0.
     """
-    return 2.0 * _TOL * (1.0 + r) / r if r > 0.0 else math.inf
+    return 2.0 * _TOL * (1.0 + r) / r if r > 0.0 else 0.0
 
 
-def _bracket(
+def bracket(
     ps: PointSet, queries: np.ndarray, r_in: float, r_out: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the rows certified within ``r_in`` and beyond ``r_out`` of the hull.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, BatchProjection]:
+    """The hull-distance verdict: within ``r_in``, beyond ``r_out``, or projected.
 
-    No row is in both; rows in neither are undecided and are left to the
-    exact solver.  The nearest-vertex distance is an upper bound; the
-    support function in the direction of the current residual is a lower
-    bound; a Gilbert-type line search tightens both for up to
-    ``_REFINE_ITERS`` rounds.  A row stops refining once neither verdict
-    can be reached (lower bound above ``r_in``, upper bound at most
-    ``r_out``), which never happens when ``r_in == r_out``.
+    Returns ``(inside, outside, rows, projection)``: masks of the rows
+    certified within ``r_in`` and beyond ``r_out`` of the hull (no row
+    is in both), the ascending indices of the rows in neither, and the
+    solver's projection of those rows, one projection row per listed
+    row.  Both cuts are first widened by ``_solver_slack(r_in)``, so
+    every certified row is one the solver would put on the same side.
+    The nearest-vertex distance is an upper bound; the support function
+    in the direction of the current residual is a lower bound; a
+    Gilbert-type line search tightens both for up to ``_REFINE_ITERS``
+    rounds.  A row stops refining once neither verdict can be reached
+    (lower bound above the inner cut, upper bound at most the outer).
     """
+    slack = _solver_slack(r_in)
+    r_in, r_out = r_in - slack, r_out + slack
     pts = ps.points
     m = queries.shape[0]
     inside = np.zeros(m, dtype=bool)
@@ -454,26 +462,24 @@ def _bracket(
         step = np.einsum("ij,ij->i", x - y, w) / np.maximum(wn2, 1e-300)
         step = np.clip(step, 0.0, 1.0)
         y = y + step[:, None] * w
-    return inside, outside
+    rows = np.flatnonzero(~(inside | outside))
+    return inside, outside, rows, project_batch(ps, queries[rows])
 
 
 def within_distance(ps: PointSet, queries: np.ndarray, r: float) -> np.ndarray:
     """Boolean mask: dist(query, hull) <= r, batched.
 
-    :func:`_bracket` decides what its bounds can; the queries whose
-    bracket still straddles ``r`` are resolved by the exact Wolfe solver,
-    so the classification agrees with :func:`project_onto_hull` whenever
-    ``|dist - r|`` exceeds floating-point resolution.
+    :func:`bracket` settles what its bounds can and projects the rest,
+    so the mask agrees with the solver (:func:`project_batch`) on every
+    query it did not stall on.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if queries.shape[1] != ps.d:
         raise ValueError("query dimension mismatch")
     if r < 0.0:
         raise ValueError("r must be non-negative")
-    inside, outside = _bracket(ps, queries, r, r)
-    undecided = np.flatnonzero(~(inside | outside))
-    if undecided.size:
-        inside[undecided] = project_batch(ps, queries[undecided]).distance <= r
+    inside, _, rows, proj = bracket(ps, queries, r, r)
+    inside[rows] = proj.distance <= r
     return inside
 
 

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erf, erfc, erfi, log_ndtr
+from scipy.special import erf, erfi, log_ndtr
 
 from .geometry import DomainSpec
 from .hull import PointSet, within_distance
@@ -43,6 +42,7 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _log_erfc(t: float) -> float:
@@ -55,10 +55,10 @@ def profile_integral(alpha: float, delta: float, eta: float) -> float:
 
     I(alpha) = int_0^1 exp{alpha (delta^2 - (1/2+eta)^2 + 2x(1/2+eta) - x^2)} dx.
 
-    Evaluated through the error function after completing the square;
-    for very large ``alpha (1/2+eta)^2`` an adaptive quadrature on the
-    max-scaled integrand takes over.  Negative ``alpha`` is supported
-    (via erfi) so derivatives at zero can be taken centrally.
+    Evaluated in log domain through the error function after completing
+    the square, for every ``alpha > 0``; the result is ``inf`` once its
+    log exceeds the float range.  Negative ``alpha`` is supported (via
+    erfi) so derivatives at zero can be taken centrally.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -68,8 +68,6 @@ def profile_integral(alpha: float, delta: float, eta: float) -> float:
     if alpha == 0.0:
         return 1.0
     c = 0.5 + eta
-    if alpha > 0.0 and alpha * c * c > 700.0:
-        return _profile_integral_quad(alpha, delta, c)
     if alpha > 0.0:
         sa = math.sqrt(alpha)
         if c <= 1.0:
@@ -87,25 +85,11 @@ def profile_integral(alpha: float, delta: float, eta: float) -> float:
             - 0.5 * math.log(alpha)
             + log_s
         )
-        return math.exp(log_i)
+        return math.exp(log_i) if log_i < _LOG_FLOAT_MAX else math.inf
     beta = -alpha
     sb = math.sqrt(beta)
     s = float(erfi((1.0 - c) * sb) + erfi(c * sb))
     return math.exp(alpha * delta * delta) * 0.5 * math.sqrt(math.pi / beta) * s
-
-
-def _profile_integral_quad(alpha: float, delta: float, c: float) -> float:
-    """Adaptive quadrature fallback, scaled by the peak of the exponent."""
-    x_peak = min(max(c, 0.0), 1.0)
-    peak = alpha * (delta * delta - (x_peak - c) ** 2)
-
-    def scaled(x: float) -> float:
-        return math.exp(alpha * (delta * delta - (x - c) ** 2) - peak)
-
-    val, _ = quad(scaled, 0.0, 1.0, epsabs=1e-12, limit=200)
-    if peak > 700.0:
-        return math.inf
-    return math.exp(peak) * val
 
 
 @dataclass(frozen=True)
@@ -213,9 +197,6 @@ def binomial_half_width(successes: int, samples: int) -> float:
         spread = Z95 * math.sqrt(p * (1.0 - p) / samples + z2_n / (4.0 * samples))
         return (p + z2_n / 2.0 + spread) / (1.0 + z2_n) - p
     return Z95 * math.sqrt(p * (1.0 - p) / samples)
-
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)

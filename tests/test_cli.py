@@ -49,6 +49,20 @@ def test_constants_gamma_violation_exit_code(tmp_path):
     assert payload["results"]["pass"] is False
 
 
+def test_constants_gamma_minimum_at_large_alpha(tmp_path):
+    # At delta = 0.001 the minimum sits at alpha* = 1/(2 delta^2) = 5e5,
+    # where both erf terms are 1: gamma = sqrt(2 pi e) * delta.
+    code, payload = run_json(
+        ["constants", "--gamma", "--delta", "0.001", "--eta", "0.25"], tmp_path
+    )
+    assert code == 0
+    results = payload["results"]
+    assert results["value"]["value"] == pytest.approx(
+        math.sqrt(2.0 * math.pi * math.e) * 0.001, rel=1e-9
+    )
+    assert results["alpha_star"]["value"] == pytest.approx(5e5, rel=1e-6)
+
+
 def test_constants_p_star(tmp_path):
     code, payload = run_json(["constants", "--p-star"], tmp_path)
     assert code == 0
@@ -482,3 +496,16 @@ def test_quad_zero_dimension_prints_one_line():
     )
     assert proc.returncode == 1
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("curselab: error:"), proc.stderr
+
+
+def test_cli_import_loads_no_scipy_solvers():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, curselab.cli; "
+         "print(sorted(m for m in sys.modules "
+         "if m.startswith(('scipy.optimize', 'scipy.integrate'))))"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -251,6 +251,11 @@ def test_bracket_first_c1_matches_full_projection_bit_for_bit(delta):
     settled = np.setdiff1d(np.arange(len(points)), out.projected)
     assert set(np.unique(out.values[settled])) == {0.0, 1.0}
     assert not np.any(out.gradients[settled])
+    # within_distance gives the solver's verdict on the same points, the
+    # bands around r and 2r included.
+    exact = hull.project_batch(ps, points).distance
+    for cut in (r, 2.0 * r):
+        assert np.array_equal(hull.within_distance(ps, points, cut), exact <= cut)
 
 
 def test_ramp_points_near_the_bracket_cuts_keep_ramp_values(small_hull):

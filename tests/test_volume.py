@@ -53,6 +53,27 @@ def test_profile_integral_quad_fallback_consistent():
     assert fallback == pytest.approx(numeric, rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha,delta,eta", [(1e5, 0.25, 0.75), (1e6, 0.01, 0.25)])
+def test_profile_integral_closed_form_at_large_alpha(alpha, delta, eta):
+    # The integrand is negligible beyond a few dozen widths 1/sqrt(alpha)
+    # of its peak; quadrature on that window, scaled by the peak value.
+    c = 0.5 + eta
+    x_peak = min(c, 1.0)
+    peak = alpha * (delta * delta - (x_peak - c) ** 2)
+    half = 30.0 / math.sqrt(alpha)
+    scaled, _ = quad(
+        lambda x: math.exp(alpha * (delta * delta - (x - c) ** 2) - peak),
+        max(0.0, x_peak - half), min(1.0, x_peak + half),
+        epsabs=0.0, epsrel=1e-12, limit=300,
+    )
+    numeric = math.exp(peak) * scaled
+    assert volume.profile_integral(alpha, delta, eta) == pytest.approx(numeric, rel=1e-9)
+
+
+def test_profile_integral_beyond_float_range_is_inf():
+    assert volume.profile_integral(2000.0, 1.0, 0.0) == math.inf
+
+
 def test_slope_identity_random_draws():
     rng = np.random.default_rng(123)
     h = 1e-6
