@@ -53,7 +53,6 @@ from .fooling import (
     FoolingFunction,
     FoolingValues,
     ProfileP,
-    certificate,
     fooling_c0,
     fooling_c1,
     fooling_c1_eval,

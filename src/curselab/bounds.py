@@ -410,7 +410,7 @@ def non_uniform_weak_witness(m: float, k: int, alpha: float) -> BoundReport:
         )
         limit = math.log(2.0) / coeff
     return BoundReport(
-        log_value=math.log(limit) if limit not in (math.inf,) else math.inf,
+        log_value=math.log(limit),
         rule=rule,
         direction="lower",
         preconditions_met=True,
@@ -602,7 +602,7 @@ def classify(profile: SmoothnessProfile, dom_family: str) -> Verdict:
     no_curse_cond = (v > (1.0 if partial else 0.5)) or (
         u + v > (1.5 if partial else 1.0)
     )
-    if no_curse_cond and dom_family in ("cube", "small_radius", "convex_P", "convex"):
+    if no_curse_cond:
         return Verdict(
             "no_curse",
             "taylor_upper",

@@ -101,6 +101,12 @@ def _require_count(name: str, count: int) -> None:
         raise ValueError(f"{name} must be at least 1, got {count}")
 
 
+def _with_pass(results: dict) -> dict:
+    """``results`` with ``pass`` set to the conjunction of its ``*_pass`` keys."""
+    results["pass"] = all(v for k, v in results.items() if k.endswith("_pass"))
+    return results
+
+
 def fool_check_c0(
     d: int, n: int, lipschitz: float, pairs: int, seed: int
 ) -> dict:
@@ -119,15 +125,14 @@ def fool_check_c0(
     max_q = float(quotients.max())
     in_range = bool(np.all((fx >= 0.0) & (fx <= 1.0) & (fy >= 0.0) & (fy <= 1.0)))
     bound = f.certificate.value(0, d)
-    return {
+    return _with_pass({
         "variant": "c0",
-        "certificate": f.certificate_json(),
+        "certificate": f.to_json_dict(),
         "max_lipschitz_quotient": max_q,
         "lipschitz_bound": bound,
         "lipschitz_pass": max_q <= bound * (1.0 + 1e-8),
         "range_pass": in_range,
-        "pass": max_q <= bound * (1.0 + 1e-8) and in_range,
-    }
+    })
 
 
 def fool_check_c1(
@@ -176,8 +181,8 @@ def fool_check_c1(
     x = np.vstack([x, x_ramp])
     y = np.vstack([y, y_ramp])
 
-    vals_x, grads_x = fooling_eval_batch(ps, x, delta=delta)[:2]
-    vals_y, grads_y = fooling_eval_batch(ps, y, delta=delta)[:2]
+    vals_x, grads_x = fooling_eval_batch(f, x)[:2]
+    vals_y, grads_y = fooling_eval_batch(f, y)[:2]
     gaps = np.maximum(np.linalg.norm(x - y, axis=1), 1e-300)
     max_q = float((np.abs(vals_x - vals_y) / gaps).max())
     max_gq = float((np.linalg.norm(grads_x - grads_y, axis=1) / gaps).max())
@@ -226,14 +231,14 @@ def fool_check_c1(
         # Distances and active sets come from the evaluations' own
         # projections, indexed by projection row; mid-ramp points are
         # never settled by the distance bracket, so they are all there.
-        centre = fooling_eval_batch(ps, points, delta=delta)
+        centre = fooling_eval_batch(f, points)
         gap = centre.projection.distance - r
         on_ramp = np.flatnonzero((0.25 * r <= gap) & (gap <= 0.8 * r))
         breaks = np.abs(gap[on_ramp, None] - root_breaks).min(axis=1) <= step
         kept = on_ramp[~breaks]
         stencil_rows = centre.projected[kept]
         nodes = (points[stencil_rows, None, :] + offsets).reshape(-1, d)
-        stencil = fooling_eval_batch(ps, nodes, delta=delta, gradients=False)
+        stencil = fooling_eval_batch(f, nodes, gradients=False)
         values = stencil.values.reshape(-1, 2, d)
         fd = (values[:, 0] - values[:, 1]) / (2.0 * step)
         grad = centre.gradients[stencil_rows]
@@ -263,9 +268,9 @@ def fool_check_c1(
                     break
             k += 1
 
-    results = {
+    return _with_pass({
         "variant": "c1",
-        "certificate": f.certificate_json(),
+        "certificate": f.to_json_dict(),
         "max_lipschitz_quotient": max_q,
         "lipschitz_bound": l0,
         "lipschitz_pass": max_q <= l0 * (1.0 + 1e-8),
@@ -284,19 +289,7 @@ def fool_check_c1(
         "grad_fd_support_changes": support_changes,
         "grad_fd_pass": checked > 0 and max_rel <= 1e-5,
         "range_pass": range_pass,
-    }
-    results["pass"] = all(
-        results[key]
-        for key in (
-            "lipschitz_pass",
-            "gradient_pass",
-            "zeros_pass",
-            "ones_pass",
-            "grad_fd_pass",
-            "range_pass",
-        )
-    )
-    return results
+    })
 
 
 def smooth_check(
@@ -375,7 +368,7 @@ def smooth_check(
         if quotient > lip + allowance:
             lip_pass = False
 
-    results = {
+    return _with_pass({
         "constant_hook": mean_c,
         "constant_pass": const_pass,
         "affine_mean": mean_a,
@@ -389,18 +382,7 @@ def smooth_check(
         "mean_quotient_allowance": max_allowance,
         "lipschitz_bound": lip,
         "mean_lipschitz_pass": lip_pass,
-    }
-    results["pass"] = all(
-        results[key]
-        for key in (
-            "constant_pass",
-            "affine_pass",
-            "zero_pass",
-            "one_pass",
-            "mean_lipschitz_pass",
-        )
-    )
-    return results
+    })
 
 
 def quad_check_sine(
@@ -418,7 +400,9 @@ def quad_check_sine(
     ``cost_pass`` compares the evaluations used with the count the rule
     predicted before running (``evaluations_cap``).  ``max_evals`` is
     passed to :func:`quad_taylor`, which refuses the rule before
-    evaluating when that prediction exceeds it.
+    evaluating when that prediction exceeds it.  A value, error or bound
+    that is not finite raises :class:`FloatingPointError`: such a run is
+    a numerical failure, never a pass.
     """
     dom = DomainSpec.cube(d)
     rng = substream(seed, 0)
@@ -428,26 +412,32 @@ def quad_check_sine(
     f = make_sine_integrand(a, b, amplitude)
     if use_fd:
         f = Integrand(eval=f.eval, exact_integral=f.exact_integral)
-    result = quad_taylor(f, dom, j, h=h, max_evals=max_evals)
-    # Every order-(j+1) directional derivative is at most |amplitude| ||a||^(j+1).
-    lip_j = abs(amplitude) * abs(a_norm) ** (j + 1)
-    bound = ub_taylor(j, lip_j, d, 0.5)
-    err = abs(result.value - f.exact_integral)
-    fd_slack = 0.0 if not use_fd else 1e-5 * abs(amplitude) * (1.0 + abs(a_norm)) ** (j + 1)
-    error_pass = err <= bound.extras["value"] + fd_slack
-    cost_pass = result.evaluations_used <= result.evaluations_cap
-    return {
+    with np.errstate(all="ignore"):  # a result that is not finite is refused below
+        result = quad_taylor(f, dom, j, h=h, max_evals=max_evals)
+        err = abs(result.value - f.exact_integral)
+    try:
+        # Every order-(j+1) directional derivative is at most |amplitude| ||a||^(j+1).
+        lip_j = abs(amplitude) * abs(a_norm) ** (j + 1)
+        bound = ub_taylor(j, lip_j, d, 0.5).extras["value"]
+        fd_slack = 0.0 if not use_fd else 1e-5 * abs(amplitude) * (1.0 + abs(a_norm)) ** (j + 1)
+    except OverflowError:
+        bound = fd_slack = math.inf
+    if not all(math.isfinite(v) for v in (result.value, err, bound + fd_slack)):
+        raise FloatingPointError(
+            f"Taylor rule value {result.value}, error {err} or bound "
+            f"{bound + fd_slack} is not finite"
+        )
+    return _with_pass({
         "value": result.value,
         "exact": f.exact_integral,
         "error": err,
-        "error_bound": bound.extras["value"],
+        "error_bound": bound,
         "fd_slack": fd_slack,
         "evaluations_used": result.evaluations_used,
         "evaluations_cap": result.evaluations_cap,
-        "error_pass": error_pass,
-        "cost_pass": cost_pass,
-        "pass": error_pass and cost_pass,
-    }
+        "error_pass": err <= bound + fd_slack,
+        "cost_pass": result.evaluations_used <= result.evaluations_cap,
+    })
 
 
 def one_point_check_c0(

@@ -355,7 +355,9 @@ def _run_constants(args):
             "check_below": _num(threshold, "formula"),
             "pass": passed,
         }
-        grid = np.linspace(0.0, max(2.0 * gc.alpha_star, 1.0), 101)
+        # An infimum only approached as alpha -> inf is plotted over [0, 1].
+        span = gc.alpha_star if math.isfinite(gc.alpha_star) else 0.0
+        grid = np.linspace(0.0, max(2.0 * span, 1.0), 101)
         plot_rows = [(a, vol.profile_integral(a, gc.delta, gc.eta)) for a in grid]
     elif action == "p_star":
         tol = args.tol if args.tol is not None else 1e-10

@@ -1,5 +1,8 @@
 """Worst-case integrands vanishing on hull neighborhoods.
 
+Each construction is one :class:`FoolingFunction`, built by its
+constructor together with its declared smoothness certificate; every
+value and gradient comes from :func:`fooling_eval_batch` on that object.
 Four constructions, in increasing smoothness:
 
 * ``c0``: ``min{1, L * dist(x, K)}``, Lipschitz with constant L.
@@ -17,7 +20,7 @@ Four constructions, in increasing smoothness:
   the weight tail.
 
 Convolutions are realized as Monte Carlo expectations over the kernel
-shifts; every construction carries a declared smoothness certificate.
+shifts (:func:`smoothed_eval`).
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ __all__ = [
     "fooling_eval_batch",
     "fooling_c1_eval",
     "smoothed_eval",
-    "certificate",
 ]
 
 
@@ -134,17 +136,13 @@ class AlphaSequence:
     eta: float | None = None
     c_eta: float | None = None
 
-    def alpha(self, j: int) -> float:
-        if j < 1:
-            raise ValueError("indices start at 1")
-        if self.kind == "uniform":
-            if j > self.k:
-                raise ValueError(f"uniform sequence has only {self.k} terms")
-            return 1.0 / self.k
-        return self.c_eta * j ** (-1.0 - self.eta)
-
     def values(self, k: int) -> np.ndarray:
-        return np.array([self.alpha(j) for j in range(1, k + 1)])
+        """The first k weights."""
+        if self.kind == "uniform":
+            if k > self.k:
+                raise ValueError(f"uniform sequence has only {self.k} terms")
+            return np.full(k, 1.0 / self.k)
+        return np.array([self.c_eta * j ** (-1.0 - self.eta) for j in range(1, k + 1)])
 
     def tail_sum(self, k: int) -> float:
         """Sum of the weights beyond index k (zero for uniform sequences)."""
@@ -168,66 +166,20 @@ def make_alpha_sequence(kind: str, k: int | None = None, eta: float | None = Non
 
 
 # ---------------------------------------------------------------------------
-# Declared smoothness certificates
-
-
-def certificate(
-    variant: str,
-    delta: float,
-    d: int,
-    k: int | None = None,
-    eta: float | None = None,
-    lipschitz: float | None = None,
-) -> SmoothnessProfile:
-    """Declared Lipschitz bounds for a fooling-function variant.
-
-    ``c0``: the single constant supplied by the caller.  ``c1``:
-    L0 = 2/(delta sqrt(d)), L1 = 40/(delta^2 d).  ``smoothed`` of class
-    order k (built from k-1 kernels of weight 1/(k-1)):
-    L_j = 40/(delta^2 d) ((k-1)/delta)^{j-1}.  ``cinf``:
-    L_j = 40/d * delta^{-1-j} c_eta^{1-j} ((j-1)!)^{1+eta}.
-    """
-    if variant == "c0":
-        if lipschitz is None or lipschitz <= 0.0:
-            raise ValueError("c0 certificates need a positive Lipschitz constant")
-        return SmoothnessProfile.finite([(lipschitz * math.sqrt(d), -0.5)])
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    l0 = (2.0 / delta, -0.5)
-    if variant == "c1":
-        return SmoothnessProfile.finite([l0, (40.0 / (delta * delta), -1.0)])
-    if variant == "smoothed":
-        if k is None or k < 1:
-            raise ValueError("smoothed certificates need the class order k >= 1")
-        levels = [l0]
-        base = 40.0 / (delta * delta)
-        for j in range(1, k + 1):
-            factor = ((k - 1) / delta) ** (j - 1) if j > 1 else 1.0
-            levels.append((base * factor, -1.0))
-        return SmoothnessProfile.finite(levels)
-    if variant == "cinf":
-        if eta is None or eta <= 0.0:
-            raise ValueError("cinf certificates need eta > 0")
-        c_eta = 1.0 / float(zeta(1.0 + eta))
-        tail = TailRule(
-            log_constant=math.log(40.0 * c_eta / delta),
-            log_base=math.log(1.0 / (delta * c_eta)),
-            factorial_power=1.0 + eta,
-            factorial_shift=1,
-            d_exponent_base=1.0,
-            d_exponent_slope=0.0,
-        )
-        return SmoothnessProfile.infinite(l0, tail)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-# ---------------------------------------------------------------------------
 # Fooling functions
 
 
 @dataclass(frozen=True)
 class FoolingFunction:
-    """Evaluable worst-case integrand with a declared smoothness certificate."""
+    """One worst-case integrand: its construction, parameters and certificate.
+
+    The object is the only encoding of a construction.  ``variant`` is
+    ``c0`` (with ``lipschitz``), or ``c1``, ``smoothed`` or
+    ``cinf_truncated`` (with ``delta``; the last two add ``kernels``
+    convolutions with weights ``seq``).  The constructors below validate
+    the parameters and build the declared ``certificate``; every value
+    and gradient comes from :func:`fooling_eval_batch` on this object.
+    """
 
     variant: str  # "c0" | "c1" | "smoothed" | "cinf_truncated"
     hull: PointSet
@@ -239,15 +191,14 @@ class FoolingFunction:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Pointwise values; for smoothed variants this is the c1 base."""
-        return fooling_eval_batch(
-            self.hull, points, delta=self.delta, lipschitz=self.lipschitz,
-            gradients=False,
-        ).values
+        return fooling_eval_batch(self, points, gradients=False).values
 
     def gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Value and gradient of the c1 base at x (a batch of one)."""
         if self.variant == "c0":
             raise ValueError("the c0 variant has no gradient")
-        return fooling_c1_eval(self.hull, self.delta, x)
+        out = fooling_eval_batch(self, np.asarray(x, dtype=float).ravel())
+        return float(out.values[0]), out.gradients[0]
 
     def smoothed_estimate(
         self, x: np.ndarray, n_samples: int, seed: int
@@ -260,13 +211,13 @@ class FoolingFunction:
         )
 
     def truncation_bound(self) -> float:
-        """Uniform gap between the truncated and the full convolution."""
+        """Uniform gap to the full convolution: Lip(f) delta sqrt(d) = 2 times the weight tail."""
         if self.variant != "cinf_truncated":
             return 0.0
-        lip = 2.0 / (self.delta * math.sqrt(self.hull.d))
-        return lip * self.delta * math.sqrt(self.hull.d) * self.seq.tail_sum(self.kernels)
+        return 2.0 * self.seq.tail_sum(self.kernels)
 
-    def certificate_json(self) -> dict:
+    def to_json_dict(self) -> dict:
+        """The certificate's JSON form, tagged with the variant and delta."""
         payload = self.certificate.to_json_dict(self.hull.d)
         payload["variant"] = self.variant
         payload["delta"] = self.delta
@@ -274,14 +225,30 @@ class FoolingFunction:
 
 
 def fooling_c0(hull: PointSet, lipschitz: float) -> FoolingFunction:
+    """min{1, L dist(x, hull)}; its one certified level is L sqrt(d) d^{-1/2}."""
     if lipschitz <= 0.0:
         raise ValueError("lipschitz must be positive")
-    cert = certificate("c0", 0.0, hull.d, lipschitz=lipschitz)
+    cert = SmoothnessProfile.finite([(lipschitz * math.sqrt(hull.d), -0.5)])
     return FoolingFunction(variant="c0", hull=hull, certificate=cert, lipschitz=lipschitz)
 
 
+def _ramp_levels(delta: float, k: int) -> list[tuple[float, float]]:
+    """Certified levels 0..k of the c1 ramp smoothed by k-1 uniform kernels.
+
+    L_0 = 2/(delta sqrt(d)) and L_j = 40/(delta^2 d) ((k-1)/delta)^{j-1}
+    for j = 1..k, as (constant, d exponent) pairs; k = 1 is the c1
+    certificate, and k = 0 leaves L_0 alone.
+    """
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
+    base = 40.0 / (delta * delta)
+    return [(2.0 / delta, -0.5)] + [
+        (base * ((k - 1) / delta) ** (j - 1), -1.0) for j in range(1, k + 1)
+    ]
+
+
 def fooling_c1(hull: PointSet, delta: float) -> FoolingFunction:
-    cert = certificate("c1", delta, hull.d)
+    cert = SmoothnessProfile.finite(_ramp_levels(delta, 1))
     return FoolingFunction(variant="c1", hull=hull, certificate=cert, delta=delta)
 
 
@@ -291,11 +258,10 @@ def fooling_smoothed(hull: PointSet, delta: float, k: int) -> FoolingFunction:
         raise ValueError("class order k must be at least 1")
     kernels = k - 1
     seq = make_alpha_sequence("uniform", k=kernels) if kernels else None
-    cert = certificate("smoothed", delta, hull.d, k=k)
     return FoolingFunction(
         variant="smoothed",
         hull=hull,
-        certificate=cert,
+        certificate=SmoothnessProfile.finite(_ramp_levels(delta, k)),
         delta=delta,
         seq=seq,
         kernels=kernels,
@@ -305,13 +271,24 @@ def fooling_smoothed(hull: PointSet, delta: float, k: int) -> FoolingFunction:
 def fooling_cinf(
     hull: PointSet, delta: float, eta: float = 1.0, k: int = 16
 ) -> FoolingFunction:
-    """Truncated infinite convolution with power weights (defaults k=16, eta=1)."""
+    """Truncated infinite convolution with power weights (defaults k=16, eta=1).
+
+    Certified levels: L_0 as for c1, and for j >= 1
+    L_j = 40/d * delta^{-1-j} c_eta^{1-j} ((j-1)!)^{1+eta}.
+    """
     seq = make_alpha_sequence("power", eta=eta)
-    cert = certificate("cinf", delta, hull.d, eta=eta)
+    (level0,) = _ramp_levels(delta, 0)
+    tail = TailRule(
+        log_constant=math.log(40.0 * seq.c_eta / delta),
+        log_base=math.log(1.0 / (delta * seq.c_eta)),
+        factorial_power=1.0 + eta,
+        factorial_shift=1,
+        d_exponent_base=1.0,
+    )
     return FoolingFunction(
         variant="cinf_truncated",
         hull=hull,
-        certificate=cert,
+        certificate=SmoothnessProfile.infinite(level0, tail),
         delta=delta,
         seq=seq,
         kernels=k,
@@ -333,42 +310,33 @@ class FoolingValues(NamedTuple):
 
 
 def fooling_eval_batch(
-    hull: PointSet,
-    points: np.ndarray,
-    *,
-    delta: float | None = None,
-    lipschitz: float | None = None,
-    gradients: bool = True,
+    f: FoolingFunction, points: np.ndarray, gradients: bool = True
 ) -> FoolingValues:
-    """The c0 (``lipschitz`` given) or c1 (``delta`` given) construction at each row.
+    """Values (and c1 gradients) of the fooling function ``f`` at each row.
 
-    c0: min{1, L * dist(x, hull)}, from one batched hull projection of
-    every row.  c1: with phi(x) = dist(x, K_delta)^2 the value is
-    p(phi(x)) and the gradient is p'(phi(x)) * 2 (x - P_{K_delta}(x)),
-    computed unless ``gradients`` is false.  One call of the hull's
-    distance verdict (:func:`curselab.hull.bracket`) at ``r`` and
-    ``2r`` settles the rows within K_delta or beyond K_{2 delta}, which
-    take 0 or 1 with a zero gradient, exactly what the projection would
-    give them, and projects the rows in between, in one batch.
+    The c0 variant is min{1, L * dist(x, hull)}, from one batched hull
+    projection of every row.  Every other variant evaluates its c1 base:
+    with phi(x) = dist(x, K_delta)^2 the value is p(phi(x)) and the
+    gradient is p'(phi(x)) * 2 (x - P_{K_delta}(x)), computed unless
+    ``gradients`` is false.  One call of the hull's distance verdict
+    (:func:`curselab.hull.bracket`) at ``r`` and ``2r`` settles the rows
+    within K_delta or beyond K_{2 delta}, which take 0 or 1 with a zero
+    gradient, exactly what the projection would give them, and projects
+    the rows in between, in one batch.
     """
-    if (delta is None) == (lipschitz is None):
-        raise ValueError("give exactly one of delta (c1) and lipschitz (c0)")
-    if lipschitz is not None and lipschitz <= 0.0:
-        raise ValueError("lipschitz must be positive")
-    if delta is not None and delta <= 0.0:
-        raise ValueError("delta must be positive")
+    hull = f.hull
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if lipschitz is not None:
+    if f.variant == "c0":
         proj = project_batch(hull, points)
-        values = np.minimum(1.0, lipschitz * proj.distance)
+        values = np.minimum(1.0, f.lipschitz * proj.distance)
         return FoolingValues(values, None, proj, np.arange(points.shape[0]))
-    r = delta * math.sqrt(hull.d)
+    r = f.delta * math.sqrt(hull.d)
     _, one, rows, proj = bracket(hull, points, r, 2.0 * r)
     values = np.zeros(points.shape[0])
     values[one] = 1.0
     ramp = np.flatnonzero(proj.distance - r > 0.0)
     gap = proj.distance[ramp] - r
-    value, deriv = profile_eval(ProfileP(delta, hull.d), gap * gap)
+    value, deriv = profile_eval(ProfileP(f.delta, hull.d), gap * gap)
     values[rows[ramp]] = value
     if not gradients:
         return FoolingValues(values, None, proj, rows)
@@ -386,9 +354,7 @@ def fooling_c1_eval(
     hull: PointSet, delta: float, x: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Value and gradient of the C^1 construction at x (a batch of one)."""
-    x = np.asarray(x, dtype=float).ravel()
-    out = fooling_eval_batch(hull, x, delta=delta)
-    return float(out.values[0]), out.gradients[0]
+    return fooling_c1(hull, delta).gradient(x)
 
 
 def smoothed_eval(

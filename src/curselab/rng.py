@@ -31,10 +31,10 @@ _CHUNK = 1 << 14
 
 def substream(seed: int, task_index: int = 0) -> np.random.Generator:
     """Generator for substream ``task_index`` of the stream keyed by ``seed``."""
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    if task_index < 0:
-        raise ValueError("task_index must be a non-negative integer")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must be an integer in [0, 2**64)")
+    if not 0 <= task_index < 1 << 64:
+        raise ValueError("task_index must be an integer in [0, 2**64)")
     key = np.array([seed, task_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf, erfi, log_ndtr
+from scipy.special import dawsn, erf, log_ndtr
 
 from .geometry import DomainSpec
 from .hull import PointSet, within_distance
@@ -56,9 +56,9 @@ def profile_integral(alpha: float, delta: float, eta: float) -> float:
     I(alpha) = int_0^1 exp{alpha (delta^2 - (1/2+eta)^2 + 2x(1/2+eta) - x^2)} dx.
 
     Evaluated in log domain through the error function after completing
-    the square, for every ``alpha > 0``; the result is ``inf`` once its
-    log exceeds the float range.  Negative ``alpha`` is supported (via
-    erfi) so derivatives at zero can be taken centrally.
+    the square; the result is ``inf`` once its log exceeds the float
+    range.  Negative ``alpha`` is supported (via Dawson's integral, the
+    scaled erfi) so derivatives at zero can be taken centrally.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -85,19 +85,27 @@ def profile_integral(alpha: float, delta: float, eta: float) -> float:
             - 0.5 * math.log(alpha)
             + log_s
         )
-        return math.exp(log_i) if log_i < _LOG_FLOAT_MAX else math.inf
-    beta = -alpha
-    sb = math.sqrt(beta)
-    s = float(erfi((1.0 - c) * sb) + erfi(c * sb))
-    return math.exp(alpha * delta * delta) * 0.5 * math.sqrt(math.pi / beta) * s
+    else:
+        # erfi(t) = 2/sqrt(pi) exp(t^2) D(t) with Dawson's integral D;
+        # factoring out exp(b^2), the larger of the two, keeps both in range.
+        beta = -alpha
+        a, b = (1.0 - c) * math.sqrt(beta), c * math.sqrt(beta)
+        log_i = (
+            beta * (c * c - delta * delta)
+            - 0.5 * math.log(beta)
+            + math.log(float(dawsn(b) + math.exp(a * a - b * b) * dawsn(a)))
+        )
+    return math.exp(log_i) if log_i < _LOG_FLOAT_MAX else math.inf
 
 
 @dataclass(frozen=True)
 class GammaConstant:
     """Infimum over alpha of the Chernoff integral, with its minimizer.
 
-    ``value`` is in (0, 1]; it dips below one exactly when the slope of
+    ``value`` lies in [0, 1]; it dips below one exactly when the slope of
     I at alpha = 0, which equals delta^2 - eta^2 - 1/12, is negative.
+    ``alpha_star`` is ``inf`` when no finite alpha attains the infimum:
+    for ``delta <= eta - 1/2`` I decreases to 0 as alpha -> inf.
     """
 
     delta: float
@@ -111,12 +119,17 @@ def gamma_constant(delta: float, eta: float) -> GammaConstant:
     """Minimize I(alpha) over alpha >= 0 by golden section.
 
     When ``delta^2 >= eta^2 + 1/12`` the infimum is attained in the
-    limit alpha -> 0 and equals one; otherwise the bracket is found by
-    doubling and the section search runs down to width 1e-8.
+    limit alpha -> 0 and equals one.  When ``delta <= eta - 1/2`` the
+    exponent delta^2 - (1/2 + eta - x)^2 is at most 0 on [0, 1], so the
+    infimum is 0, the limit alpha -> inf.  Otherwise the bracket is found
+    by doubling and the section search runs down to a width of
+    ``max(1e-8, 1e-12 * hi)``, which floats can resolve at any alpha.
     """
     slope = delta * delta - eta * eta - 1.0 / 12.0
     if slope >= -1e-14:  # boundary up to rounding: infimum is 1 at alpha -> 0
         return GammaConstant(delta, eta, 1.0, 0.0, slope)
+    if 0.0 < delta <= eta - 0.5:
+        return GammaConstant(delta, eta, 0.0, math.inf, slope)
 
     hi = 1.0
     f_hi = profile_integral(hi, delta, eta)
@@ -133,7 +146,7 @@ def gamma_constant(delta: float, eta: float) -> GammaConstant:
     b = lo + _GOLDEN * (hi - lo)
     f_a = profile_integral(a, delta, eta)
     f_b = profile_integral(b, delta, eta)
-    while hi - lo > 1e-8:
+    while hi - lo > max(1e-8, 1e-12 * hi):
         if f_a <= f_b:
             hi, b, f_b = b, a, f_a
             a = hi - _GOLDEN * (hi - lo)

@@ -87,3 +87,24 @@ def test_smooth_check_zero_and_one_checks_can_fail(monkeypatch, scale, failing):
     monkeypatch.setattr(checks, "fooling_c1", lambda ps, delta: exact(ps, scale * delta))
     res = checks.smooth_check(5, 8, 0.05, 3, 2000, 1)
     assert not res[failing] and not res["pass"]
+
+
+def test_fool_check_c1_evaluates_only_the_function_it_certifies(monkeypatch):
+    # Pairs, gradients and stencils must come from the certified object,
+    # not from a second function rebuilt from the hull and delta.
+    built, evaluated = [], []
+    make, evaluate = checks.fooling_c1, checks.fooling_eval_batch
+
+    def recording_make(*args):
+        built.append(make(*args))
+        return built[-1]
+
+    def recording_evaluate(f, *args, **kwargs):
+        evaluated.append(f)
+        return evaluate(f, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "fooling_c1", recording_make)
+    monkeypatch.setattr(checks, "fooling_eval_batch", recording_evaluate)
+    checks.fool_check_c1(5, 8, 0.05, pairs=200, seed=1, samples=200)
+    assert len(built) == 1 and evaluated
+    assert all(f is built[0] for f in evaluated)

@@ -509,3 +509,38 @@ def test_cli_import_loads_no_scipy_solvers():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["constants", "--gamma", "--delta", "0.25", "--eta", "0.75"], 0),
+    (["constants", "--gamma", "--delta", "0.00003", "--eta", "0"], 0),
+    (["volume", "--domain", "cube", "--d", "3", "--n", "4", "--delta", "0.1",
+      "--samples", "2000", "--seed", str(2**64)], 1),
+    (["quad", "--algorithm", "taylor", "--d", "3", "--j", "2", "--a-norm", "1e300",
+      "--seed", "1"], 3),
+    (["quad", "--algorithm", "taylor", "--d", "3", "--j", "2", "--amplitude", "1e308",
+      "--a-norm", "10", "--seed", "1"], 3),
+    (["quad", "--algorithm", "taylor", "--d", "3", "--j", "2", "--fd", "--h", "1e-300",
+      "--seed", "1"], 3),
+])
+def test_extreme_inputs_end_in_their_exit_code(tmp_path, argv, code):
+    # A subprocess with a timeout, so that a hang fails the test and a
+    # traceback or numpy warning reaches stderr.
+    plot = tmp_path / "plot.txt"
+    extra = ["--plot-data", str(plot)] if argv[0] == "constants" else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "curselab.cli", *argv, *extra,
+         "--out", str(tmp_path / "out.json")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+    else:
+        prefix = "curselab: error:" if code == 1 else "curselab: numerical failure:"
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(prefix), proc.stderr
+    if extra:
+        rows = [line.split() for line in plot.read_text().splitlines()]
+        assert len(rows) == 101
+        assert all(math.isfinite(float(v)) for row in rows for v in row)

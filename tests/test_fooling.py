@@ -180,9 +180,10 @@ def test_batch_evaluator_matches_one_row_calls(small_hull):
         base + u * (r * rng.uniform(0.0, 3.5, size=(60, 1))),  # all three ramp pieces
         rng.random((40, 4)) * 2.0 - 0.5,
     ])
-    out = fooling.fooling_eval_batch(small_hull, pts, delta=delta)
-    assert np.array_equal(fooling.fooling_c1(small_hull, delta)(pts), out.values)
-    values_only = fooling.fooling_eval_batch(small_hull, pts, delta=delta, gradients=False)
+    f1 = fooling.fooling_c1(small_hull, delta)
+    out = fooling.fooling_eval_batch(f1, pts)
+    assert np.array_equal(f1(pts), out.values)
+    values_only = fooling.fooling_eval_batch(f1, pts, gradients=False)
     assert values_only.gradients is None
     assert np.array_equal(values_only.values, out.values)
     assert 0 < np.count_nonzero((out.values > 0.0) & (out.values < 1.0)) < len(pts)
@@ -190,16 +191,13 @@ def test_batch_evaluator_matches_one_row_calls(small_hull):
         one_value, one_grad = fooling.fooling_c1_eval(small_hull, delta, x)
         assert abs(one_value - value) <= 1e-12
         assert np.allclose(one_grad, grad, rtol=0.0, atol=1e-9)
-    c0 = fooling.fooling_eval_batch(small_hull, pts, lipschitz=3.0)
+    f0 = fooling.fooling_c0(small_hull, 3.0)
+    c0 = fooling.fooling_eval_batch(f0, pts)
     assert c0.gradients is None
     assert np.array_equal(c0.projected, np.arange(len(pts)))
     assert np.array_equal(c0.values, np.minimum(1.0, 3.0 * c0.projection.distance))
     for x, value in zip(pts[::10], c0.values[::10]):
-        assert abs(fooling.fooling_c0(small_hull, 3.0)(x)[0] - value) <= 1e-12
-    with pytest.raises(ValueError):
-        fooling.fooling_eval_batch(small_hull, pts)
-    with pytest.raises(ValueError):
-        fooling.fooling_eval_batch(small_hull, pts, delta=delta, lipschitz=3.0)
+        assert abs(f0(x)[0] - value) <= 1e-12
 
 
 def _full_projection_c1(ps, points, delta):
@@ -240,7 +238,7 @@ def test_bracket_first_c1_matches_full_projection_bit_for_bit(delta):
         2.0 * r * (1.0 + band),
     ])
     points = _on_rays(ps, rng, distances)
-    out = fooling.fooling_eval_batch(ps, points, delta=delta)
+    out = fooling.fooling_eval_batch(fooling.fooling_c1(ps, delta), points)
     values, grads = _full_projection_c1(ps, points, delta)
     assert np.array_equal(out.values, values)
     assert np.array_equal(out.gradients, grads)
@@ -306,15 +304,19 @@ def test_sequence_validation():
 # Certificates
 
 
+def _hull(d):
+    return hull.PointSet(np.full((1, d), 0.5))
+
+
 def test_certificate_c1_paper_constants():
-    cert = fooling.certificate("c1", 1.0 / 200.0, 25)
+    cert = fooling.fooling_c1(_hull(25), 1.0 / 200.0).certificate
     assert cert.value(0, 25) == pytest.approx(400.0 / math.sqrt(25), rel=1e-12)
     assert cert.value(1, 25) == pytest.approx(16.0e5 / 25.0, rel=1e-12)
 
 
 def test_certificate_smoothed_first_order_matches_c1():
     delta, d = 0.02, 9
-    cert = fooling.certificate("smoothed", delta, d, k=5)
+    cert = fooling.fooling_smoothed(_hull(d), delta, k=5).certificate
     assert cert.value(1, d) == pytest.approx(40.0 / (delta * delta * d), rel=1e-12)
     # Geometric growth by (k-1)/delta per extra order.
     for j in range(2, 6):
@@ -323,19 +325,19 @@ def test_certificate_smoothed_first_order_matches_c1():
 
 
 def test_certificate_smoothed_single_order():
-    cert = fooling.certificate("smoothed", 0.1, 4, k=1)
+    cert = fooling.fooling_smoothed(_hull(4), 0.1, k=1).certificate
     assert cert.value(1, 4) == pytest.approx(40.0 / (0.01 * 4), rel=1e-12)
 
 
 def test_certificate_cinf_hand_value():
-    cert = fooling.certificate("cinf", 1.0, 1, eta=1.0)
+    cert = fooling.fooling_cinf(_hull(1), 1.0, eta=1.0).certificate
     assert cert.value(2, 1) == pytest.approx(40.0 * math.pi**2 / 6.0, rel=1e-12)
     assert cert.value(0, 1) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_certificate_cinf_general_formula():
     delta, d, eta = 0.3, 6, 0.7
-    cert = fooling.certificate("cinf", delta, d, eta=eta)
+    cert = fooling.fooling_cinf(_hull(d), delta, eta=eta).certificate
     from scipy.special import zeta
 
     c_eta = 1.0 / float(zeta(1.0 + eta))

@@ -22,6 +22,12 @@ def test_substream_validation():
         substream(-1)
     with pytest.raises(ValueError):
         substream(0, -2)
+    # Philox keys are two uint64 words.
+    substream(2**64 - 1, 2**64 - 1)
+    with pytest.raises(ValueError):
+        substream(2**64)
+    with pytest.raises(ValueError):
+        substream(0, 2**64)
 
 
 def test_chunk_sizes_cover_total():

@@ -72,6 +72,18 @@ def test_profile_integral_closed_form_at_large_alpha(alpha, delta, eta):
 
 def test_profile_integral_beyond_float_range_is_inf():
     assert volume.profile_integral(2000.0, 1.0, 0.0) == math.inf
+    # Negative alpha: erfi overflows while exp(alpha delta^2) underflows.
+    assert volume.profile_integral(-1e5, 0.26, 0.25) == math.inf
+    assert volume.profile_integral(-2000.0, 0.26, 0.25) == math.inf
+
+
+@pytest.mark.parametrize("delta,eta", [(0.001, 0.75), (0.1, 0.75)])
+def test_gamma_constant_infimum_at_infinity(delta, eta):
+    # delta <= eta - 1/2: the integrand is at most one, so I decreases to 0.
+    # (Inputs that used to hang are in the CLI test, which has a timeout.)
+    gc = volume.gamma_constant(delta, eta)
+    assert (gc.value, gc.alpha_star) == (0.0, math.inf)
+    assert volume.profile_integral(1e4, delta, eta) < volume.profile_integral(1e3, delta, eta)
 
 
 def test_slope_identity_random_draws():
