@@ -18,6 +18,7 @@ actually test; finite data tables could not certify any of them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from scipy.special import gammaln
@@ -46,6 +47,8 @@ __all__ = [
 #: gradient-class lower bound: L0 = 400/sqrt(d), L1 = 16e5/d.
 GRADIENT_CUBE_L0 = 400.0
 GRADIENT_CUBE_L1 = 16.0e5
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +331,8 @@ def ub_taylor(j: int, lip_j: float, d: int, big_r: float) -> BoundReport:
         rule=rule,
         direction="upper",
         preconditions_met=True,
-        extras={"value": math.exp(log_value)},
+        # The log stays finite; the value is inf beyond the float range.
+        extras={"value": math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf},
     )
 
 

@@ -357,6 +357,10 @@ def fooling_c1_eval(
     return fooling_c1(hull, delta).gradient(x)
 
 
+#: Entries per array in one row block of :func:`smoothed_eval` (1 MiB of float64).
+_BLOCK_ENTRIES = 1 << 17
+
+
 def smoothed_eval(
     base,
     seq: AlphaSequence | None,
@@ -372,9 +376,13 @@ def smoothed_eval(
     the centered balls of radius ``alpha_j * delta * sqrt(d)``; ``base``
     is any batch-callable, so constant and affine test hooks can stand
     in for the fooling function.  The draws go through
-    :func:`curselab.rng.mc_mean`, so ``base`` sees at most one chunk of
-    rows at a time.  Returns the mean and the 95% normal half-width.
-    ``kernels = 0`` evaluates the base itself exactly.
+    :func:`curselab.rng.mc_mean`, so the chunks run on every available
+    core with the same result as on one.  Each chunk is drawn in row
+    blocks of at most ``2**17 // d`` rows (1 MiB per array), and
+    ``base`` sees one block at a time, possibly from several threads at
+    once; within a block the stream holds, for each kernel, the
+    directions and then the radii.  Returns the mean and the 95% normal
+    half-width.  ``kernels = 0`` evaluates the base itself exactly.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -390,16 +398,21 @@ def smoothed_eval(
     alphas = seq.values(kernels)
     if alphas.sum() > 1.0 + 1e-12:
         raise ValueError("kernel weights must sum to at most one")
+    radii = alphas * delta * math.sqrt(d)
+    block = max(1, _BLOCK_ENTRIES // d)
 
     def draw(rng, size):
-        # Stream layout: for each kernel, a block of directions, then one of radii.
-        shift = np.zeros((size, d))
-        for a in alphas:
-            direction = rng.standard_normal((size, d))
-            direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-            radius = a * delta * math.sqrt(d) * rng.random((size, 1)) ** (1.0 / d)
-            shift += direction * radius
-        return np.ravel(base(x[None, :] - shift))
+        values = np.empty(size)
+        for start in range(0, size, block):
+            rows = min(block, size - start)
+            shift = np.zeros((rows, d))
+            for r in radii:
+                direction = rng.standard_normal((rows, d))
+                direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+                direction *= r * rng.random((rows, 1)) ** (1.0 / d)
+                shift += direction
+            values[start:start + rows] = np.ravel(base(x[None, :] - shift))
+        return values
 
     est = mc_mean(draw, seed, n_samples)
     return est.mean, est.half_width_95

@@ -286,8 +286,10 @@ def reference_integral(
 ) -> tuple[float, float]:
     """Plain Monte Carlo integral with a 95% half-width.
 
-    Used as ground truth when no exact integral is available; the draws
-    go through :func:`curselab.rng.mc_mean`.
+    Used as ground truth when no exact integral is available.  The draws
+    go through :func:`curselab.rng.mc_mean`, so the chunks run on every
+    available core with the same result as on one; ``f.eval`` must
+    therefore be safe to call from several threads at once.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")

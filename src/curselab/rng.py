@@ -5,14 +5,17 @@ streams keyed by ``(seed, task_index)``.  Distinct task indices give
 statistically independent substreams.  Every Monte Carlo estimator runs
 through :func:`mc_mean`, which draws fixed chunks from substreams keyed
 by the chunk index and reduces them in chunk order, so its result is the
-same no matter how many threads draw the chunks.
+same no matter how many threads draw the chunks; by default every core
+the process may use draws them.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import os
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from functools import cache
@@ -79,23 +82,42 @@ def _openblas_threads() -> tuple:
     return tuple(found)
 
 
+_blas_lock = threading.Lock()
+_blas_holds = 0
+_blas_saved: list[int] = []
+
+
 @contextmanager
 def _single_threaded_blas():
     """Run OpenBLAS on one thread inside the block, then restore its count.
 
     Pool workers each call BLAS; at its default thread count every call
     would start as many BLAS threads as there are cores.  The count is
-    process-wide, so two such blocks must not overlap in time.
+    process-wide, so overlapping blocks share one hold: the first entry
+    saves the counts and sets one thread, the last exit restores them.
     """
+    global _blas_holds, _blas_saved
     libs = _openblas_threads()
-    before = [get() for get, _ in libs]
-    for _, put in libs:
-        put(1)
+    with _blas_lock:
+        if _blas_holds == 0:
+            _blas_saved = [get() for get, _ in libs]
+            for _, put in libs:
+                put(1)
+        _blas_holds += 1
     try:
         yield
     finally:
-        for (_, put), count in zip(libs, before):
-            put(count)
+        with _blas_lock:
+            _blas_holds -= 1
+            if _blas_holds == 0:
+                for (_, put), count in zip(libs, _blas_saved):
+                    put(count)
+
+
+def _available_cpus() -> int:
+    """Cores this process may run on (``os.cpu_count()`` without affinity)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 class MonteCarloMean(NamedTuple):
@@ -107,19 +129,24 @@ class MonteCarloMean(NamedTuple):
     chunks: int
 
 
-def mc_mean(draw, seed: int, n_samples: int, threads: int = 1) -> MonteCarloMean:
+def mc_mean(draw, seed: int, n_samples: int, threads: int | None = None) -> MonteCarloMean:
     """Mean of ``n_samples`` values of ``draw(rng, size)``, which returns ``size`` values.
 
     Chunk i draws from ``substream(seed, i)`` with its size from
-    :func:`chunk_sizes`.  With ``threads > 1`` a thread pool draws the
-    chunks, with OpenBLAS held to one thread meanwhile, and the calling
-    thread reduces them in chunk order.  Sums run relative to the first
-    value, so constant draws give exact means and zero half-widths;
-    boolean draws sum exactly.
+    :func:`chunk_sizes`.  ``threads`` defaults to the cores the process
+    may use and is clamped to the number of chunks, so a one-chunk
+    estimate starts no pool.  With more than one thread a thread pool
+    draws the chunks, each worker holding one chunk's arrays, with
+    OpenBLAS held to one thread meanwhile; the calling thread reduces
+    the chunks in chunk order, so the result does not depend on
+    ``threads``.  Sums run relative to the first value, so constant
+    draws give exact means and zero half-widths; boolean draws sum
+    exactly.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     sizes = chunk_sizes(n_samples)
+    threads = min(_available_cpus() if threads is None else threads, len(sizes))
     shift = total = total_sq = 0.0
     pooled = threads > 1
     with (

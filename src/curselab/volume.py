@@ -17,13 +17,13 @@ any worker count.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import dawsn, erf, log_ndtr
 
+from .bounds import _LOG_FLOAT_MAX
 from .geometry import DomainSpec
 from .hull import PointSet, within_distance
 from .rng import Z95, mc_mean
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _log_erfc(t: float) -> float:

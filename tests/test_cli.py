@@ -313,6 +313,22 @@ def test_bounds_requires_dimension(tmp_path):
     assert code == 1
 
 
+def test_bounds_taylor_upper_beyond_float_range_reports_inf(tmp_path):
+    # ln bound = 21 ln 0.5 - ln 20! + ln 1e300 + 10.5 ln 1e5, about 754.8 > ln(max float).
+    code, payload = run_json(
+        ["bounds", "--which", "taylor-upper", "--j", "20", "--lip", "1e300",
+         "--d", "100000", "--big-r", "0.5"],
+        tmp_path,
+    )
+    assert code == 0
+    results = payload["results"]
+    expected = (21 * math.log(0.5) - math.lgamma(21.0) + math.log(1e300)
+                + 10.5 * math.log(100000))
+    assert results["log_value"]["value"] == pytest.approx(expected, rel=1e-12)
+    assert results["value"]["value"] == "inf"
+    assert results["extras"]["value"]["value"] == "inf"
+
+
 def test_classify_finite_profile(tmp_path):
     code, payload = run_json(
         ["classify", "--k", "2", "--family", "cube",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,6 +448,90 @@ def test_smoothed_eval_single_chunk_matches_single_stream(small_hull):
     mean, _ = fooling.smoothed_eval(f, seq, 3, 0.05, x, 2000, seed=31)
     assert 0.0 < mean < 1.0
     assert mean == expected
+
+
+def _blocked_smoothed_values(base, seq, kernels, delta, x, n_samples, seed):
+    # One chunk, drawn in blocks of at most 2**17 // d rows; each block
+    # holds, per kernel, its directions and then its radii.
+    d = x.shape[0]
+    block = (1 << 17) // d
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    values = []
+    for start in range(0, n_samples, block):
+        rows = min(block, n_samples - start)
+        shift = np.zeros((rows, d))
+        for a in seq.values(kernels):
+            direction = rng.standard_normal((rows, d))
+            direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+            shift += direction * (a * delta * math.sqrt(d) * rng.random((rows, 1)) ** (1.0 / d))
+        values.append(np.asarray(base(x[None, :] - shift), dtype=float).ravel())
+    values = np.concatenate(values)
+    centered = values - values[0]
+    return float(values[0]) + float(centered.sum()) / n_samples
+
+
+def _affine_base(d):
+    a = np.random.default_rng(5).standard_normal(d)
+    return lambda pts: np.atleast_2d(pts) @ a + 0.25
+
+
+def test_smoothed_eval_blocks_match_oracle_at_d50():
+    d = 50
+    base = _affine_base(d)
+    rows = []
+
+    def counting(pts):
+        rows.append(len(pts))
+        return base(pts)
+
+    seq = fooling.make_alpha_sequence("uniform", k=3)
+    x = np.full(d, 0.5)
+    expected = _blocked_smoothed_values(base, seq, 3, 0.05, x, 6000, 41)
+    mean, _ = fooling.smoothed_eval(counting, seq, 3, 0.05, x, 6000, seed=41)
+    assert rows == [2621, 2621, 758]
+    assert mean == expected
+
+
+@pytest.mark.parametrize("d", [50, 300])
+def test_smoothed_eval_base_rows_bounded_by_block(d):
+    rows = []
+
+    def base(pts):
+        rows.append(len(pts))
+        return pts[:, 0]
+
+    seq = fooling.make_alpha_sequence("uniform", k=2)
+    fooling.smoothed_eval(base, seq, 2, 0.05, np.full(d, 0.5), 40_000, seed=9)
+    assert sum(rows) == 40_000
+    assert max(rows) <= min(1 << 14, (1 << 17) // d)
+
+
+def test_smoothed_eval_same_on_one_and_four_cpus(report_cpus, small_hull):
+    f = fooling.fooling_c1(small_hull, 0.05)
+    seq = fooling.make_alpha_sequence("uniform", k=3)
+    x = small_hull.points[0] + 0.12
+    runs = []
+    for cpus in (1, 4):
+        report_cpus(cpus)
+        runs.append(fooling.smoothed_eval(f, seq, 3, 0.05, x, 40_000, seed=12))
+        runs.append(fooling.smoothed_eval(_affine_base(50), seq, 3, 0.05,
+                                          np.full(50, 0.5), 40_000, seed=13))
+    assert runs[:2] == runs[2:]
+
+
+def test_smoothed_eval_memory_stays_bounded(report_cpus):
+    # Without row blocks each worker held three 16,384 x 50 float64 arrays.
+    report_cpus(2)
+    seq = fooling.make_alpha_sequence("uniform", k=3)
+    base = _affine_base(50)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fooling.smoothed_eval(base, seq, 3, 0.05, np.full(50, 0.5), 50_000, seed=14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_smoothed_eval_weight_guard(small_hull):

@@ -322,6 +322,19 @@ def test_reference_integral_deterministic():
     assert first == second
 
 
+def test_reference_integral_same_on_one_and_four_cpus(report_cpus):
+    dom = geometry.DomainSpec.cube(20)
+    f = quadrature.make_sine_integrand(np.linspace(-1.0, 1.0, 20), 0.3)
+    c0 = quadrature.Integrand(eval=fooling.fooling_c0(
+        hull.PointSet(dom.center[None, :], domain=dom), 2.0))
+    runs = []
+    for cpus in (1, 4):
+        report_cpus(cpus)
+        runs.append(quadrature.reference_integral(f, dom, 5 * (1 << 14) + 7, seed=4))
+        runs.append(quadrature.reference_integral(c0, dom, 3 * (1 << 14), seed=5))
+    assert runs[:2] == runs[2:]
+
+
 def test_reference_integral_fooling_c1_band():
     # f is one outside the double neighborhood and non-negative, so its
     # integral sits between 1 - vol(K_{2 delta}) and 1.

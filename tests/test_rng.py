@@ -1,3 +1,6 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -79,5 +82,81 @@ def test_mc_mean_pool_workers_run_blas_single_threaded():
         assert get() == 2  # restored after the pool
         mc_mean(draw, 5, 1 << 14)
         assert seen[-1] == 2  # a single-threaded call leaves BLAS alone
+    finally:
+        put(original)
+
+
+def _spy_on_pools(monkeypatch):
+    workers = []
+
+    def spy(max_workers):
+        workers.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", spy)
+    return workers
+
+
+def test_mc_mean_default_threads_match_one_thread(monkeypatch, report_cpus):
+    report_cpus(4)
+    workers = _spy_on_pools(monkeypatch)
+    n = 3 * (1 << 14) + 123
+    assert mc_mean(_normal_draw, 17, n) == mc_mean(_normal_draw, 17, n, threads=1)
+    assert workers == [4]  # the default pooled; threads=1 did not
+
+
+def test_mc_mean_default_clamps_threads_to_chunks(monkeypatch, report_cpus):
+    report_cpus(8)
+    workers = _spy_on_pools(monkeypatch)
+    mc_mean(_normal_draw, 2, 2 * (1 << 14) + 1)
+    assert workers == [3]
+
+
+def test_mc_mean_one_chunk_starts_no_pool(monkeypatch, report_cpus):
+    report_cpus(4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-chunk estimate started a thread pool")
+
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", refuse)
+    est = mc_mean(_normal_draw, 3, 2000)
+    assert est.chunks == 1
+    assert mc_mean(_normal_draw, 3, 1 << 14, threads=4) == mc_mean(_normal_draw, 3, 1 << 14)
+
+
+def test_overlapping_blas_holds_restore_once_both_end():
+    blas = rng._openblas_threads()
+    if not blas:
+        pytest.skip("no OpenBLAS in this process")
+    get, put = blas[0]
+    original = get()
+    put(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS cannot run two threads here")
+        first_in, first_out, second_out = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def first():
+            with rng._single_threaded_blas():
+                first_in.set()
+                first_out.wait(10)
+            seen["after_first"] = get()  # the second hold is still open
+            second_out.set()
+
+        def second():
+            first_in.wait(10)
+            with rng._single_threaded_blas():
+                seen["inside_second"] = get()
+                first_out.set()
+                second_out.wait(10)
+
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20)
+        assert seen == {"inside_second": 1, "after_first": 1}
+        assert get() == 2  # restored by the last exit
     finally:
         put(original)
