@@ -6,15 +6,12 @@ Everything downstream (neighborhood distances, fooling functions,
 Monte Carlo volume estimates) reduces to this primitive.
 """
 
+import math
+
 import numpy as np
 
-from curselab import (
-    PointSet,
-    dist_to_neighborhood,
-    elekes_cover_check,
-    project_onto_hull,
-    project_onto_neighborhood,
-)
+from curselab import PointSet, elekes_cover_check, project_batch, project_onto_hull
+from curselab.hull import slide_toward
 
 rng = np.random.default_rng(7)
 points = rng.random((6, 3))
@@ -35,11 +32,16 @@ for _ in range(3):
     print(f"random hull point at distance {np.linalg.norm(query - candidate):.6f}"
           f"  (optimal {proj.distance:.6f})")
 
-# Neighborhoods rescale distances by sqrt(d).
+# Neighborhoods rescale distances by sqrt(d).  A query outside the
+# r-neighborhood slides from its hull projection toward itself until it
+# is r away from the hull; a query inside is its own nearest point.
 delta = 0.1
+r = delta * math.sqrt(ps.d)
+batch = project_batch(ps, query[None, :])
+nearest, distance = batch.nearest[0], batch.distance[0]
 print(f"\ndistance to the delta*sqrt(d) neighborhood (delta={delta}):",
-      f"{dist_to_neighborhood(query, ps, delta):.6f}")
-moved = project_onto_neighborhood(query, ps, delta)
+      f"{max(0.0, distance - r):.6f}")
+moved = query if distance <= r else slide_toward(nearest, distance, query, r)
 print("nearest neighborhood point:", np.round(moved, 4))
 
 # Elekes cover: the hull of points within r of z is covered by the n

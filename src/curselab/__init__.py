@@ -30,11 +30,9 @@ from .hull import (
     BatchProjection,
     HullProjection,
     PointSet,
-    dist_to_neighborhood,
     elekes_cover_check,
     project_batch,
     project_onto_hull,
-    project_onto_neighborhood,
     within_distance,
 )
 from .volume import (

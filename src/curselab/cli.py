@@ -27,6 +27,8 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,7 +52,7 @@ EXIT_NUMERICAL = 3
 DEFAULT_MAX_EVALS = 1_000_000
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Configuration problem; maps to exit code 1."""
 
 
@@ -65,6 +67,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _num(value, provenance: str) -> dict:
     return {"value": value, "provenance": provenance}
+
+
+def _tagged(provenance: str, **figures) -> dict:
+    return {key: _num(value, provenance) for key, value in figures.items()}
 
 
 def _tag_check(data: dict, formula_keys: set[str]) -> dict:
@@ -110,29 +116,20 @@ def _emit_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _emit_json(payload: dict, path: str | None) -> None:
-    _emit_text(json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n", path)
+def _csv_cell(value) -> str:
+    value = _sanitize(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _emit_csv(header: list[str], rows: list[list], path: str | None) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            cell = _sanitize(cell)
-            cells.append(repr(cell) if isinstance(cell, float) else str(cell))
-        lines.append(",".join(cells))
+    lines = [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]
     _emit_text("\n".join(lines) + "\n", path)
 
 
 def _emit_plot(rows: list[tuple], path: str | None) -> None:
-    if not path:
-        return
-    lines = []
-    for row in rows:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(" ".join(repr(float(v)) for v in row) for row in rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -155,134 +152,51 @@ def _exponent(text: str) -> float:
     return math.inf if text in ("inf", "oo") else _finite_float(text)
 
 
+def _list_of(kind):
+    """Argument type: comma-separated values of ``kind``, at least one."""
+    def parse(text: str) -> list:
+        values = [kind(t) for t in text.split(",") if t]
+        if not values:
+            raise argparse.ArgumentTypeError(f"no value in {text!r}")
+        return values
+    parse.__name__ = f"{kind.__name__} list"  # argparse's "invalid <name> value"
+    return parse
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 # ---------------------------------------------------------------------------
 # Config handling
 
 
-def _load_config(path: str) -> dict:
-    values: dict[str, str] = {}
+def _load_config(path: str, flags: dict[str, dict]) -> dict:
+    """The ``key=value`` lines of ``path``, converted by the flags' types and choices."""
+    config = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.strip()
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise CliError(f"{path}:{line_no}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _coerce_config(config: dict, parser: argparse.ArgumentParser) -> dict:
-    """Convert raw config strings using the parser's declared types."""
-    coerced = {}
-    by_dest = {action.dest: action for action in parser._actions}
-    for key, raw in config.items():
-        action = by_dest.get(key)
-        if action is None:
-            raise CliError(f"unknown config key {key!r}")
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            coerced[key] = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            try:
-                coerced[key] = action.type(raw)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise CliError(f"config key {key!r}: {exc}") from None
-        else:
-            coerced[key] = raw
-    return coerced
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise CliError(f"--{name.replace('_', '-')} is required")
-
-
-def _subparser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    subparsers = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    return subparsers.choices[name]
-
-
-def _given(parser: argparse.ArgumentParser, argv: list[str], subcommand: str) -> set[str]:
-    """Destinations that ``argv`` sets explicitly; overwrites the subparser's defaults."""
-    unset = object()
-    sub = _subparser(parser, subcommand)
-    sub.set_defaults(**{action.dest: unset for action in sub._actions})
-    return {k for k, v in vars(parser.parse_args(argv)).items() if v is not unset}
-
-
-# Flags that only some modes of a subcommand read, and what each mode reads.
-_CONSTANTS_READS = {
-    "gamma": {"delta", "eta", "check_below"},
-    "gamma_tilde": {"delta", "check_below"},
-    "p_star": {"tol"},
-    "radius": {"p", "d"},
-    "limit_ratio": {"p"},
-    "ball_volume": {"p", "d"},
-}
-_BOUNDS_READS = {
-    "lipschitz-lower": {"eps", "eps_list", "lip", "a"},
-    "gradient-cube-lower": {"eps", "eps_list"},
-    "higher-lower": {"eps", "eps_list", "growth"},
-    "one-point-c0": {"lip", "big_r", "tail"},
-    "one-point-c1": {"lip_grad", "diam", "ball_variant"},
-    "taylor-upper": {"j", "lip", "big_r"},
-    "qpt-cost": {"eps", "eps_list", "c", "a"},
-    "unit-class-cost": {"eps", "eps_list", "rad"},
-    "uwt-witness": {"m", "k", "alpha"},
-}
-_CLASSIFY_TAIL = {"level0", "tail_constant", "tail_base", "tail_factorial_power",
-                  "tail_shift", "tail_u", "tail_v"}
-
-
-def _mode_reads(args) -> tuple[str, set[str], set[str]] | None:
-    """The chosen mode, the flags only some modes read, and those this one reads.
-
-    None where the subcommand has one mode, or where its runner will
-    refuse the mode itself.
-    """
-    if args.subcommand == "fool-check":
-        reads = {"lipschitz"} if args.variant == "c0" else {"delta", "samples"}
-        return f"--variant {args.variant}", {"delta", "lipschitz", "samples"}, reads
-    if args.subcommand == "quad":
-        flags = {"j", "amplitude", "a_norm", "lipschitz", "fd", "h", "max_evals", "samples"}
-        if args.algorithm == "one-point":
-            return "--algorithm one-point", flags, {"lipschitz", "samples"}
-        reads = {"j", "amplitude", "a_norm", "max_evals"} | ({"fd", "h"} if args.fd else set())
-        return f"--algorithm taylor {'--fd' if args.fd else 'without --fd'}", flags, reads
-    if args.subcommand == "volume" and args.points_csv:
-        return "--points-csv", {"n"}, set()
-    if args.subcommand == "constants":
-        chosen = [name for name in _CONSTANTS_READS if getattr(args, name)]
-        if len(chosen) == 1:
-            flags = set().union(*_CONSTANTS_READS.values())
-            return f"--{chosen[0].replace('_', '-')}", flags, _CONSTANTS_READS[chosen[0]]
-    if args.subcommand == "bounds" and args.which in _BOUNDS_READS:
-        flags = set().union(*_BOUNDS_READS.values())
-        reads = _BOUNDS_READS[args.which]
-        if args.which == "one-point-c1" and args.ball_variant:
-            reads = reads | {"big_r", "tail"}
-        return f"--which {args.which}", flags, reads
-    if args.subcommand == "classify" and args.k is not None:
-        if args.k == "inf":
-            return "--k inf", _CLASSIFY_TAIL | {"levels"}, _CLASSIFY_TAIL
-        return f"--k {args.k}", _CLASSIFY_TAIL | {"levels"}, {"levels"}
-    return None
-
-
-def _refuse_unread(args, given: set[str]) -> None:
-    """A flag given for a mode that never reads it is an error, not a no-op."""
-    mode = _mode_reads(args)
-    if mode is None:
-        return
-    name, flags, reads = mode
-    unread = sorted((given & flags) - reads)
-    if unread:
-        listed = ", ".join(f"--{flag.replace('_', '-')}" for flag in unread)
-        raise CliError(f"{args.subcommand} {name} does not read {listed}")
+            key, _, raw = line.partition("=")
+            key, raw = key.strip().replace("-", "_"), raw.strip()
+            spec = flags.get(key)
+            if spec is None:
+                raise CliError(f"unknown config key {key!r}")
+            if spec.get("action") == "store_true":
+                value = raw.lower() in ("1", "true", "yes", "on")
+            else:
+                try:
+                    value = spec.get("type", str)(raw)
+                except (ValueError, argparse.ArgumentTypeError) as exc:
+                    raise CliError(f"config key {key!r}: {exc}") from None
+            if "choices" in spec and value not in spec["choices"]:
+                raise CliError(f"config key {key!r}: invalid choice {raw!r}")
+            config[key] = value
+    return config
 
 
 def _parse_domain(name: str, d: int) -> geo.DomainSpec:
@@ -320,454 +234,493 @@ def _parse_levels(text: str) -> list[tuple[float, float]]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand runners: each returns (results, passed, plot_rows, csv)
+# Mode runners: each takes the merged values and returns (results, plot_rows).
+# A mode's required flags are present in the values when its runner starts.
 
 
-def _run_constants(args):
-    actions = [
-        name
-        for name in ("gamma", "gamma_tilde", "p_star", "radius", "limit_ratio", "ball_volume")
-        if getattr(args, name)
-    ]
-    if len(actions) != 1:
-        raise CliError("choose exactly one of --gamma --gamma-tilde --p-star "
-                       "--radius --limit-ratio --ball-volume")
-    action = actions[0]
-    plot_rows = None
-    passed = True
+def _run_gamma(v, name: str, gc: vol.GammaConstant):
+    threshold = v.get("check_below", 1.0)
+    results = {
+        "constant": name,
+        "pass": gc.value < threshold,
+        **_tagged("formula", delta=gc.delta, eta=gc.eta, slope_at_zero=gc.slope_at_zero,
+                  check_below=threshold),
+        **_tagged("solver", value=gc.value, alpha_star=gc.alpha_star),
+    }
+    # An infimum only approached as alpha -> inf is plotted over [0, 1].
+    span = gc.alpha_star if math.isfinite(gc.alpha_star) else 0.0
+    grid = np.linspace(0.0, max(2.0 * span, 1.0), 101)
+    return results, [(a, vol.profile_integral(a, gc.delta, gc.eta)) for a in grid]
 
-    if action in ("gamma", "gamma_tilde"):
-        if action == "gamma":
-            _require(args, "delta", "eta")
-            gc = vol.gamma_constant(args.delta, args.eta)
-        else:
-            _require(args, "delta")
-            gc = vol.gamma_tilde_cube(args.delta)
-        threshold = args.check_below if args.check_below is not None else 1.0
-        passed = gc.value < threshold
-        results = {
-            "constant": action,
-            "delta": _num(gc.delta, "formula"),
-            "eta": _num(gc.eta, "formula"),
-            "value": _num(gc.value, "solver"),
-            "alpha_star": _num(gc.alpha_star, "solver"),
-            "slope_at_zero": _num(gc.slope_at_zero, "formula"),
-            "check_below": _num(threshold, "formula"),
-            "pass": passed,
-        }
-        # An infimum only approached as alpha -> inf is plotted over [0, 1].
-        span = gc.alpha_star if math.isfinite(gc.alpha_star) else 0.0
-        grid = np.linspace(0.0, max(2.0 * span, 1.0), 101)
-        plot_rows = [(a, vol.profile_integral(a, gc.delta, gc.eta)) for a in grid]
-    elif action == "p_star":
-        tol = args.tol if args.tol is not None else 1e-10
-        root = geo.solve_p_star(tol)
-        residual = geo.p_star_lhs(root) - math.sqrt(math.pi * math.e / 2.0)
-        results = {
-            "constant": "p_star",
-            "value": _num(root, "solver"),
-            "residual": _num(residual, "solver"),
-            "tol": _num(tol, "formula"),
-            "pass": True,
-        }
-    elif action == "radius":
-        _require(args, "p", "d")
-        nr = geo.lp_normalized_radius(args.p, args.d)
-        results = {
-            "constant": "radius",
-            "p": _num(nr.p, "formula"),
-            "d": _num(nr.d, "formula"),
-            "value": _num(nr.value, "formula"),
-            "ratio": _num(nr.ratio, "formula"),
-            "pass": True,
-        }
-    elif action == "limit_ratio":
-        _require(args, "p")
-        results = {
-            "constant": "limit_ratio",
-            "p": _num(args.p, "formula"),
-            "value": _num(geo.radius_limit_ratio(args.p), "formula"),
-            "small_radius_threshold": _num(geo.SMALL_RADIUS_THRESHOLD, "formula"),
-            "pass": True,
-        }
+
+def _run_p_star(v):
+    tol = v.get("tol", 1e-10)
+    root = geo.solve_p_star(tol)
+    residual = geo.p_star_lhs(root) - math.sqrt(math.pi * math.e / 2.0)
+    return {"constant": "p_star", "pass": True, "tol": _num(tol, "formula"),
+            **_tagged("solver", value=root, residual=residual)}, None
+
+
+def _run_radius(v):
+    nr = geo.lp_normalized_radius(v["p"], v["d"])
+    return {"constant": "radius", "pass": True,
+            **_tagged("formula", p=nr.p, d=nr.d, value=nr.value, ratio=nr.ratio)}, None
+
+
+def _run_limit_ratio(v):
+    return {"constant": "limit_ratio", "pass": True, **_tagged(
+        "formula", p=v["p"], value=geo.radius_limit_ratio(v["p"]),
+        small_radius_threshold=geo.SMALL_RADIUS_THRESHOLD)}, None
+
+
+def _run_ball_volume(v):
+    p, d = v["p"], v["d"]
+    return {"constant": "ball_volume", "pass": True, **_tagged(
+        "formula", p=p, d=d, volume=geo.lp_unit_ball_volume(p, d),
+        log_volume=geo.lp_unit_ball_volume_log(p, d))}, None
+
+
+def _run_volume(v):
+    dom = _parse_domain(v["domain"], v["d"])
+    if v.get("points_csv"):
+        ps = PointSet.from_csv(v["points_csv"], domain=dom)
     else:
-        _require(args, "p", "d")
-        results = {
-            "constant": "ball_volume",
-            "p": _num(args.p, "formula"),
-            "d": _num(args.d, "formula"),
-            "volume": _num(geo.lp_unit_ball_volume(args.p, args.d), "formula"),
-            "log_volume": _num(geo.lp_unit_ball_volume_log(args.p, args.d), "formula"),
-            "pass": True,
-        }
-    return results, passed, plot_rows, None
-
-
-def _run_volume(args):
-    _require(args, "d", "delta", "samples", "seed")
-    dom = _parse_domain(args.domain, args.d)
-    if args.points_csv:
-        ps = PointSet.from_csv(args.points_csv, domain=dom)
-    else:
-        _require(args, "n")
-        ps = checks.random_point_set(dom, args.n, args.seed)
+        ps = checks.random_point_set(dom, v["n"], v["seed"])
     est = vol.mc_hull_neighborhood_volume(
-        ps, dom, args.delta, args.samples, args.seed, threads=args.threads
+        ps, dom, v["delta"], v["samples"], v["seed"], threads=v["threads"]
     )
     results = {
-        "domain": args.domain,
-        "d": _num(args.d, "formula"),
-        "n_points": _num(ps.n, "formula"),
-        "delta": _num(args.delta, "formula"),
-        "mean": _num(est.mean, "monte_carlo"),
-        "half_width_95": _num(est.half_width_95, "monte_carlo"),
-        "samples": _num(est.samples, "formula"),
-        "seed": _num(est.seed, "formula"),
-        "bound_log": _num(est.bound_log, "formula"),
+        "domain": v["domain"],
         "bound_source": est.bound_source,
         "pass": est.passed,
+        **_tagged("formula", d=v["d"], n_points=ps.n, delta=v["delta"], samples=est.samples,
+                  seed=est.seed, bound_log=est.bound_log),
+        **_tagged("monte_carlo", mean=est.mean, half_width_95=est.half_width_95),
     }
-    plot_rows = [(args.delta, est.mean, est.bound)]
-    return results, est.passed, plot_rows, None
+    return results, [(v["delta"], est.mean, est.bound)]
 
 
-def _run_fool_check(args):
-    _require(args, "d", "n", "seed")
-    if args.variant == "c0":
-        lip = args.lipschitz if args.lipschitz is not None else 1.0 / math.sqrt(args.d)
-        data = checks.fool_check_c0(args.d, args.n, lip, args.pairs, args.seed)
-    else:
-        _require(args, "delta")
-        data = checks.fool_check_c1(
-            args.d, args.n, args.delta, args.pairs, args.seed, samples=args.samples
+def _lipschitz(v) -> float:
+    """--lipschitz, by default 1/sqrt(d); the check itself refuses d < 1."""
+    return v["lipschitz"] if "lipschitz" in v else 1.0 / math.sqrt(max(v["d"], 1))
+
+
+def _run_taylor(v):
+    try:
+        data = checks.quad_check_sine(
+            v["d"], v["j"], v["seed"], amplitude=v["amplitude"], a_norm=v["a_norm"],
+            use_fd=v["fd"], h=v.get("h"), max_evals=v.get("max_evals", DEFAULT_MAX_EVALS),
         )
-    return _tag_check(data, {"lipschitz_bound", "gradient_bound"}), data["pass"], None, None
+    except EvaluationBudgetError as exc:
+        raise CliError(f"{exc} (--max-evals)") from None
+    return data, None
 
 
-def _run_smooth_check(args):
-    _require(args, "d", "n", "delta", "k", "samples", "seed")
-    data = checks.smooth_check(
-        args.d, args.n, args.delta, args.k, args.samples, args.seed
-    )
-    return _tag_check(data, {"lipschitz_bound", "affine_target"}), data["pass"], None, None
+class _Sweep(NamedTuple):
+    """A bounds sweep, emitted as CSV."""
+
+    header: list[str]
+    rows: list[list]
+    passed: bool
 
 
-def _run_quad(args):
-    _require(args, "d", "seed")
-    if args.algorithm == "one-point":
-        lip = args.lipschitz if args.lipschitz is not None else 1.0 / math.sqrt(args.d)
-        data = checks.one_point_check_c0(args.d, lip, args.samples, args.seed)
-        formula_keys = {"one_point_value", "error_bound"}
-    else:
-        _require(args, "j")
-        max_evals = DEFAULT_MAX_EVALS if args.max_evals is None else args.max_evals
-        try:
-            data = checks.quad_check_sine(
-                args.d, args.j, args.seed,
-                amplitude=args.amplitude, a_norm=args.a_norm,
-                use_fd=args.fd, h=args.h, max_evals=max_evals,
-            )
-        except EvaluationBudgetError as exc:
-            raise CliError(f"{exc} (--max-evals)") from None
-        formula_keys = set(data)  # no Taylor figure is sampled
-    return _tag_check(data, formula_keys), data["pass"], None, None
+def _exp(log_value: float) -> float:
+    return math.exp(log_value) if log_value < 700 else math.inf
 
 
-_BOUND_BUILDERS = {
-    "lipschitz-lower": lambda a, d, eps: bd.lb_lipschitz(eps, d, a.lip, a.a),
-    "gradient-cube-lower": lambda a, d, eps: bd.lb_lipschitz_gradient_cube(eps, d),
-    "higher-lower": lambda a, d, eps: bd.lb_higher_smoothness(eps, d, a.growth),
-    "one-point-c0": lambda a, d, eps: bd.ub_one_point_c0(a.lip, d, a.big_r, a.tail),
-    "one-point-c1": lambda a, d, eps: bd.ub_one_point_c1(
-        a.lip_grad, a.diam if a.diam is not None else math.sqrt(d),
-        big_r=a.big_r if a.ball_variant else None,
-        tail=a.tail if a.ball_variant else None,
-        d=d if a.ball_variant else None,
-    ),
-    "taylor-upper": lambda a, d, eps: bd.ub_taylor(a.j, a.lip, d, a.big_r),
-    "qpt-cost": lambda a, d, eps: bd.quasi_poly_cost_bound(eps, d, a.c, a.a),
-    "unit-class-cost": lambda a, d, eps: bd.unit_derivative_cost_bound(
-        eps, d, a.rad if a.rad is not None else math.sqrt(d) / 2.0
-    ),
-    "uwt-witness": lambda a, d, eps: bd.non_uniform_weak_witness(a.m, a.k, a.alpha),
-}
-
-
-def _run_bounds(args):
-    builder = _BOUND_BUILDERS.get(args.which)
-    if builder is None:
-        raise CliError(f"unknown bound {args.which!r}")
-    d_values = args.d_list if args.d_list else ([args.d] if args.d is not None else [None])
-    eps_values = (
-        args.eps_list if args.eps_list else ([args.eps] if args.eps is not None else [None])
-    )
-    if d_values == [None]:
-        raise CliError("--d or --d-list is required")
-    sweep = len(d_values) * len(eps_values) > 1
-
-    rows = []
-    plot_rows = []
-    reports = []
-    all_ok = True
-    for d in d_values:
-        for eps in eps_values:
-            try:
-                report = builder(args, d, eps)
-            except TypeError as exc:
-                raise CliError(str(exc))
-            reports.append(((d, eps), report))
-            all_ok = all_ok and report.preconditions_met
-            rows.append([
-                d,
-                eps if eps is not None else "",
-                report.log_value,
-                math.exp(report.log_value) if report.log_value < 700 else math.inf,
-                report.preconditions_met,
-                report.rule,
-            ])
-            if eps is None:
-                plot_rows.append((d, report.log_value))
-            else:
-                plot_rows.append((d, eps, report.log_value))
-    if sweep:
+def _run_bounds(v, build):
+    d_values = v.get("d_list") or [v["d"]]
+    eps_values = v.get("eps_list") or [v.get("eps")]
+    reports = [((d, eps), build(v, d, eps)) for d in d_values for eps in eps_values]
+    if len(reports) > 1:
         header = ["d", "eps", "log_value", "value", "preconditions_met", "rule"]
-        return (header, rows), all_ok, plot_rows, "csv"
+        rows = [[d, "" if eps is None else eps, r.log_value, _exp(r.log_value),
+                 r.preconditions_met, r.rule] for (d, eps), r in reports]
+        plot_rows = [(d, r.log_value) if eps is None else (d, eps, r.log_value)
+                     for (d, eps), r in reports]
+        return _Sweep(header, rows, all(r.preconditions_met for _, r in reports)), plot_rows
     (d, eps), report = reports[0]
-    results = {
-        "which": args.which,
-        "d": _num(d, "formula"),
+    return {
+        "which": v["which"],
+        **_tagged("formula", d=d, log_value=report.log_value, value=_exp(report.log_value)),
         "eps": _num(eps, "formula") if eps is not None else None,
-        "log_value": _num(report.log_value, "formula"),
-        "value": _num(
-            math.exp(report.log_value) if report.log_value < 700 else math.inf,
-            "formula",
-        ),
         "direction": report.direction,
         "rule": report.rule,
         "preconditions_met": report.preconditions_met,
         "note": report.note,
-        "extras": {k: _num(v, "formula") if isinstance(v, float) else v
-                   for k, v in report.extras.items()},
+        "extras": {k: _num(x, "formula") if isinstance(x, float) else x
+                   for k, x in report.extras.items()},
         "pass": report.preconditions_met,
-    }
-    return results, report.preconditions_met, None, None
+    }, None
 
 
-def _run_classify(args):
-    _require(args, "k", "family")
-    kind = args.kind
-    if args.k == "inf":
-        _require(args, "level0", "tail_constant")
-        for name in ("tail_constant", "tail_base"):
-            if getattr(args, name) <= 0.0:
-                raise CliError(f"--{name.replace('_', '-')} must be positive")
-        c0, e0 = _parse_levels(args.level0)[0]
-        tail = bd.TailRule(
-            log_constant=math.log(args.tail_constant),
-            log_base=math.log(args.tail_base),
-            factorial_power=args.tail_factorial_power,
-            factorial_shift=args.tail_shift,
-            d_exponent_base=args.tail_u,
-            d_exponent_slope=args.tail_v,
-        )
-        profile = bd.SmoothnessProfile.infinite((c0, e0), tail, derivative_kind=kind)
-    else:
-        _require(args, "levels")
-        k = int(args.k)
-        levels = _parse_levels(args.levels)
-        if len(levels) != k + 1:
-            raise CliError(f"--levels must list k+1 = {k + 1} entries")
-        profile = bd.SmoothnessProfile.finite(levels, derivative_kind=kind)
-    verdict = bd.classify(profile, args.family)
-    results = verdict.to_json_dict()
-    results["profile"] = profile.to_json_dict(d=args.d if args.d else 8)
+def _one_point_c1(v, d, eps):
+    ball = v["ball_variant"]
+    return bd.ub_one_point_c1(
+        v["lip_grad"], v["diam"] if "diam" in v else math.sqrt(d),
+        big_r=v["big_r"] if ball else None,
+        tail=v["tail"] if ball else None,
+        d=d if ball else None,
+    )
+
+
+def _infinite_profile(v) -> bd.SmoothnessProfile:
+    for name in ("tail_constant", "tail_base"):
+        if v[name] <= 0.0:
+            raise CliError(f"{_flag(name)} must be positive")
+    c0, e0 = _parse_levels(v["level0"])[0]
+    tail = bd.TailRule(
+        log_constant=math.log(v["tail_constant"]),
+        log_base=math.log(v["tail_base"]),
+        factorial_power=v["tail_factorial_power"],
+        factorial_shift=v["tail_shift"],
+        d_exponent_base=v["tail_u"],
+        d_exponent_slope=v["tail_v"],
+    )
+    return bd.SmoothnessProfile.infinite((c0, e0), tail, derivative_kind=v["kind"])
+
+
+def _finite_profile(v) -> bd.SmoothnessProfile:
+    k = int(v["k"])
+    levels = _parse_levels(v["levels"])
+    if len(levels) != k + 1:
+        raise CliError(f"--levels must list k+1 = {k + 1} entries")
+    return bd.SmoothnessProfile.finite(levels, derivative_kind=v["kind"])
+
+
+def _run_classify(v, profile_of):
+    d = v.get("d", 8)
+    if d < 1:
+        raise CliError(f"--d must be at least 1, got {d}")
+    profile = profile_of(v)
+    results = bd.classify(profile, v["family"]).to_json_dict()
+    results["profile"] = profile.to_json_dict(d=d)
     results["pass"] = True
-    return results, True, None, None
+    return results, None
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly
+# One table per subcommand
 
 
-def _add_common(parser):
-    parser.add_argument("--out", default=None, help="output path ('-' = stdout)")
-    parser.add_argument("--plot-data", default=None, help="whitespace-delimited plot file")
-    parser.add_argument("--config", default=None, help="flat key=value config file")
-    parser.add_argument("--threads", type=int, default=1)
+class Mode(NamedTuple):
+    """One mode of a subcommand; flags are named by destination.
+
+    ``reads`` lists the flags the mode reads, besides those that select
+    it; ``switch`` names a store_true flag and the flags the mode reads
+    only while it is set.  ``requires`` lists the flags that must be
+    given, ``a|b`` for ``--a`` or ``--b``.  ``formula`` lists the result
+    keys tagged ``formula``, all others ``monte_carlo``; None where
+    ``run`` tags its results itself.
+    """
+
+    reads: str
+    requires: str
+    run: Callable[[dict], tuple]
+    formula: str | None = None
+    switch: tuple[str, str] | None = None
+
+    def flags_read(self, switched: bool) -> set[str]:
+        extra = self.switch[1] if self.switch and switched else ""
+        return set(self.reads.split()) | set(extra.split())
+
+
+class Command(NamedTuple):
+    """A subcommand.
+
+    ``flags`` maps each destination to its ``add_argument`` keywords,
+    ``default`` being the value an absent flag takes.  ``select`` is the
+    flag whose value is the mode's key (the keys are its choices), or a
+    function from the merged values to the key.  ``label`` names the mode
+    in messages, formatted with ``key`` and the values.
+    """
+
+    help: str
+    flags: dict[str, dict]
+    select: str | Callable[[dict], str]
+    label: str
+    modes: dict[str, Mode]
+
+
+def _typed(kind, default=None) -> dict:
+    """``add_argument`` keywords of a flag of type ``kind``, with its default if any."""
+    return {"type": kind} if default is None else {"type": kind, "default": default}
+
+
+_int = partial(_typed, int)
+_float = partial(_typed, _finite_float)
+_SWITCH = {"action": "store_true", "default": False}
+
+# Accepted by every subcommand and read by no mode table.
+_COMMON = {
+    "out": {"help": "output path ('-' = stdout)"},
+    "plot_data": {"help": "whitespace-delimited plot file"},
+    "config": {"help": "flat key=value config file"},
+    "threads": _int(1),
+}
+
+
+def _constant_mode(v) -> str:
+    modes = _COMMANDS["constants"].modes
+    chosen = [key for key in modes if v[key.replace("-", "_")]]
+    if len(chosen) != 1:
+        raise CliError("choose exactly one of " + " ".join(f"--{key}" for key in modes))
+    return chosen[0]
+
+
+def _classify_mode(v) -> str:
+    if "k" not in v:
+        raise CliError("--k is required")
+    return "inf" if v["k"] == "inf" else "finite"
+
+
+def _bound(reads: str, requires: str, build, switch=None) -> Mode:
+    """A ``bounds`` mode: ``build(values, d, eps)`` at every (d, eps) given."""
+    return Mode(f"d d_list {reads}", f"d|d_list {requires}",
+                lambda v: _run_bounds(v, build), switch=switch)
+
+
+_COMMANDS = {
+    "constants": Command(
+        help="closed-form and solver constants",
+        flags={
+            "gamma": _SWITCH, "gamma_tilde": _SWITCH, "p_star": _SWITCH,
+            "radius": _SWITCH, "limit_ratio": _SWITCH, "ball_volume": _SWITCH,
+            "delta": _float(), "eta": _float(), "p": _typed(_exponent), "d": _int(),
+            "tol": _float(), "check_below": _float(),
+        },
+        select=_constant_mode,
+        label="--{key}",
+        modes={
+            "gamma": Mode("delta eta check_below", "delta eta", lambda v: _run_gamma(
+                v, "gamma", vol.gamma_constant(v["delta"], v["eta"]))),
+            "gamma-tilde": Mode("delta check_below", "delta", lambda v: _run_gamma(
+                v, "gamma_tilde", vol.gamma_tilde_cube(v["delta"]))),
+            "p-star": Mode("tol", "", _run_p_star),
+            "radius": Mode("p d", "p d", _run_radius),
+            "limit-ratio": Mode("p", "p", _run_limit_ratio),
+            "ball-volume": Mode("p d", "p d", _run_ball_volume),
+        },
+    ),
+    "volume": Command(
+        help="Monte Carlo volume vs analytic bound",
+        flags={"domain": {"default": "cube"}, "d": _int(), "n": _int(), "points_csv": {},
+               "delta": _float(), "samples": _int(), "seed": _int()},
+        select=lambda v: "--points-csv" if v.get("points_csv") else "--n",
+        label="{key}",
+        modes={
+            "--points-csv": Mode("domain d delta samples seed", "seed d delta samples",
+                                 _run_volume),
+            "--n": Mode("domain d n delta samples seed", "seed d delta samples n", _run_volume),
+        },
+    ),
+    "fool-check": Command(
+        help="fooling-function invariant suite",
+        flags={"variant": {"default": "c1"}, "d": _int(), "n": _int(), "delta": _float(),
+               "lipschitz": _float(), "pairs": _int(2000), "samples": _int(1000),
+               "seed": _int()},
+        select="variant",
+        label="--variant {key}",
+        modes={
+            "c0": Mode(
+                "d n lipschitz pairs seed", "seed d n",
+                lambda v: (checks.fool_check_c0(v["d"], v["n"], _lipschitz(v), v["pairs"],
+                                                v["seed"]), None),
+                formula="lipschitz_bound"),
+            "c1": Mode(
+                "d n delta pairs samples seed", "seed d n delta",
+                lambda v: (checks.fool_check_c1(v["d"], v["n"], v["delta"], v["pairs"],
+                                                v["seed"], samples=v["samples"]), None),
+                formula="lipschitz_bound gradient_bound"),
+        },
+    ),
+    "smooth-check": Command(
+        help="convolution smoothing suite",
+        flags={"d": _int(), "n": _int(), "delta": _float(), "k": _int(), "samples": _int(),
+               "seed": _int()},
+        select=lambda v: "",
+        label="",
+        modes={"": Mode(
+            "d n delta k samples seed", "seed d n delta k samples",
+            lambda v: (checks.smooth_check(v["d"], v["n"], v["delta"], v["k"], v["samples"],
+                                           v["seed"]), None),
+            formula="lipschitz_bound affine_target")},
+    ),
+    "quad": Command(
+        help="quadrature error vs bound on a test family",
+        flags={
+            "algorithm": {"default": "taylor"}, "d": _int(), "j": _int(),
+            "amplitude": _float(0.1), "a_norm": _float(1.0), "lipschitz": _float(),
+            "fd": {**_SWITCH, "help": "use finite differences"}, "h": _float(),
+            # No default: an unset budget stays out of the config echo.
+            "max_evals": {"type": int, "help": "refuse a Taylor rule predicted to need more "
+                          f"evaluations (default {DEFAULT_MAX_EVALS:,})"},
+            "samples": _int(20000), "seed": _int(),
+        },
+        select="algorithm",
+        label="--algorithm {key}",
+        modes={
+            # No Taylor figure is sampled.
+            "taylor": Mode("d j amplitude a_norm max_evals seed", "seed d j", _run_taylor,
+                           formula="value exact error error_bound fd_slack",
+                           switch=("fd", "fd h")),
+            "one-point": Mode(
+                "d lipschitz samples seed", "seed d",
+                lambda v: (checks.one_point_check_c0(v["d"], _lipschitz(v), v["samples"],
+                                                     v["seed"]), None),
+                formula="one_point_value error_bound"),
+        },
+    ),
+    "bounds": Command(
+        help="evaluate bound formulas, optionally swept",
+        flags={
+            "which": {}, "d": _int(), "eps": _float(),
+            "d_list": _typed(_list_of(int)), "eps_list": _typed(_list_of(_finite_float)),
+            "lip": _float(1.0), "lip_grad": _float(1.0), "a": _float(1.0), "c": _float(1.0),
+            "growth": _float(1.1), "big_r": _float(0.5), "tail": _float(0.0),
+            "diam": _float(), "ball_variant": _SWITCH, "j": _int(0), "rad": _float(),
+            "m": _float(1.0), "k": _int(1), "alpha": _float(1.0),
+        },
+        select="which",
+        label="--which {key}",
+        modes={
+            "lipschitz-lower": _bound(
+                "eps eps_list lip a", "eps|eps_list",
+                lambda v, d, eps: bd.lb_lipschitz(eps, d, v["lip"], v["a"])),
+            "gradient-cube-lower": _bound(
+                "eps eps_list", "eps|eps_list",
+                lambda v, d, eps: bd.lb_lipschitz_gradient_cube(eps, d)),
+            "higher-lower": _bound(
+                "eps eps_list growth", "eps|eps_list",
+                lambda v, d, eps: bd.lb_higher_smoothness(eps, d, v["growth"])),
+            "one-point-c0": _bound(
+                "lip big_r tail", "",
+                lambda v, d, eps: bd.ub_one_point_c0(v["lip"], d, v["big_r"], v["tail"])),
+            "one-point-c1": _bound("lip_grad diam ball_variant", "", _one_point_c1,
+                                   switch=("ball_variant", "big_r tail")),
+            "taylor-upper": _bound(
+                "j lip big_r", "",
+                lambda v, d, eps: bd.ub_taylor(v["j"], v["lip"], d, v["big_r"])),
+            "qpt-cost": _bound(
+                "eps eps_list c a", "eps|eps_list",
+                lambda v, d, eps: bd.quasi_poly_cost_bound(eps, d, v["c"], v["a"])),
+            "unit-class-cost": _bound(
+                "eps eps_list rad", "eps|eps_list",
+                lambda v, d, eps: bd.unit_derivative_cost_bound(
+                    eps, d, v["rad"] if "rad" in v else math.sqrt(d) / 2.0)),
+            "uwt-witness": _bound(
+                "m k alpha", "",
+                lambda v, d, eps: bd.non_uniform_weak_witness(v["m"], v["k"], v["alpha"])),
+        },
+    ),
+    "classify": Command(
+        help="tractability verdict for a profile",
+        flags={
+            "k": {"help": "smoothness order (integer or 'inf')"},
+            "kind": {"choices": ("directional", "partial"), "default": "directional"},
+            "family": {"choices": ("cube", "small_radius", "convex_P", "convex")},
+            "levels": {"help": "finite profile: 'c:e,c:e,...' for j = 0..k"},
+            "level0": {"help": "infinite profile order 0: 'c:e'"},
+            "tail_constant": _float(), "tail_base": _float(1.0),
+            "tail_factorial_power": _float(0.0), "tail_shift": _int(0),
+            "tail_u": _float(0.0), "tail_v": _float(0.0), "d": _int(),
+        },
+        select=_classify_mode,
+        label="--k {k}",
+        modes={
+            "inf": Mode("kind family level0 tail_constant tail_base tail_factorial_power "
+                        "tail_shift tail_u tail_v d", "family level0 tail_constant",
+                        lambda v: _run_classify(v, _infinite_profile)),
+            "finite": Mode("kind family levels d", "family levels",
+                           lambda v: _run_classify(v, _finite_profile)),
+        },
+    ),
+}
+
+
+def _flags(command: Command) -> dict[str, dict]:
+    """Every flag of a subcommand; the selecting flag's choices are the mode keys."""
+    flags = {**_COMMON, **command.flags}
+    if isinstance(command.select, str):
+        flags[command.select] = {**flags[command.select], "choices": tuple(command.modes)}
+    return flags
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="curselab", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("constants", help="closed-form and solver constants")
-    _add_common(p)
-    p.add_argument("--gamma", action="store_true")
-    p.add_argument("--gamma-tilde", action="store_true")
-    p.add_argument("--p-star", action="store_true")
-    p.add_argument("--radius", action="store_true")
-    p.add_argument("--limit-ratio", action="store_true")
-    p.add_argument("--ball-volume", action="store_true")
-    p.add_argument("--delta", type=_finite_float)
-    p.add_argument("--eta", type=_finite_float)
-    p.add_argument("--p", type=_exponent)
-    p.add_argument("--d", type=int)
-    p.add_argument("--tol", type=_finite_float)
-    p.add_argument("--check-below", type=_finite_float)
-    p.set_defaults(run=_run_constants)
-
-    p = sub.add_parser("volume", help="Monte Carlo volume vs analytic bound")
-    _add_common(p)
-    p.add_argument("--domain", default="cube")
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--points-csv", default=None)
-    p.add_argument("--delta", type=_finite_float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(run=_run_volume)
-
-    p = sub.add_parser("fool-check", help="fooling-function invariant suite")
-    _add_common(p)
-    p.add_argument("--variant", choices=("c0", "c1"), default="c1")
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--delta", type=_finite_float)
-    p.add_argument("--lipschitz", type=_finite_float)
-    p.add_argument("--pairs", type=int, default=2000)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(run=_run_fool_check)
-
-    p = sub.add_parser("smooth-check", help="convolution smoothing suite")
-    _add_common(p)
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--delta", type=_finite_float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(run=_run_smooth_check)
-
-    p = sub.add_parser("quad", help="quadrature error vs bound on a test family")
-    _add_common(p)
-    p.add_argument("--algorithm", choices=("taylor", "one-point"), default="taylor")
-    p.add_argument("--d", type=int)
-    p.add_argument("--j", type=int)
-    p.add_argument("--amplitude", type=_finite_float, default=0.1)
-    p.add_argument("--a-norm", type=_finite_float, default=1.0)
-    p.add_argument("--lipschitz", type=_finite_float)
-    p.add_argument("--fd", action="store_true", help="use finite differences")
-    p.add_argument("--h", type=_finite_float)
-    # No argparse default: an unset budget stays out of the config echo.
-    p.add_argument("--max-evals", type=int,
-                   help="refuse a Taylor rule predicted to need more evaluations "
-                        f"(default {DEFAULT_MAX_EVALS:,})")
-    p.add_argument("--samples", type=int, default=20000)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(run=_run_quad)
-
-    p = sub.add_parser("bounds", help="evaluate bound formulas, optionally swept")
-    _add_common(p)
-    p.add_argument("--which", required=False)
-    p.add_argument("--d", type=int)
-    p.add_argument("--eps", type=_finite_float)
-    p.add_argument("--d-list", type=lambda s: [int(t) for t in s.split(",") if t])
-    p.add_argument("--eps-list", type=lambda s: [_finite_float(t) for t in s.split(",") if t])
-    p.add_argument("--lip", type=_finite_float, default=1.0)
-    p.add_argument("--lip-grad", type=_finite_float, default=1.0)
-    p.add_argument("--a", type=_finite_float, default=1.0)
-    p.add_argument("--c", type=_finite_float, default=1.0)
-    p.add_argument("--growth", type=_finite_float, default=1.1)
-    p.add_argument("--big-r", type=_finite_float, default=0.5)
-    p.add_argument("--tail", type=_finite_float, default=0.0)
-    p.add_argument("--diam", type=_finite_float)
-    p.add_argument("--ball-variant", action="store_true")
-    p.add_argument("--j", type=int, default=0)
-    p.add_argument("--rad", type=_finite_float)
-    p.add_argument("--m", type=_finite_float, default=1.0)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--alpha", type=_finite_float, default=1.0)
-    p.set_defaults(run=_run_bounds)
-
-    p = sub.add_parser("classify", help="tractability verdict for a profile")
-    _add_common(p)
-    p.add_argument("--k", help="smoothness order (integer or 'inf')")
-    p.add_argument("--kind", choices=("directional", "partial"), default="directional")
-    p.add_argument("--family", choices=("cube", "small_radius", "convex_P", "convex"))
-    p.add_argument("--levels", help="finite profile: 'c:e,c:e,...' for j = 0..k")
-    p.add_argument("--level0", help="infinite profile order 0: 'c:e'")
-    p.add_argument("--tail-constant", type=_finite_float)
-    p.add_argument("--tail-base", type=_finite_float, default=1.0)
-    p.add_argument("--tail-factorial-power", type=_finite_float, default=0.0)
-    p.add_argument("--tail-shift", type=int, default=0)
-    p.add_argument("--tail-u", type=_finite_float, default=0.0)
-    p.add_argument("--tail-v", type=_finite_float, default=0.0)
-    p.add_argument("--d", type=int)
-    p.set_defaults(run=_run_classify)
-
+    for name, command in _COMMANDS.items():
+        # No argparse defaults: the parsed namespace holds exactly the flags given.
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for dest, spec in _flags(command).items():
+            p.add_argument(_flag(dest), **{k: x for k, x in spec.items() if k != "default"})
     return parser
 
 
-_RANDOMIZED = ("volume", "fool-check", "smooth-check", "quad")
+def _mode(name: str, command: Command, values: dict, given: set[str]) -> Mode:
+    """The mode the values select, once no flag it does not read was given
+    and every flag it requires was."""
+    if callable(command.select):
+        key = command.select(values)
+    elif command.select in values:
+        key = values[command.select]
+    else:
+        raise CliError(f"{_flag(command.select)} is required")
+    mode = command.modes[key]
+    label = command.label.format(key=key, **values)
+    switched = bool(mode.switch) and values[mode.switch[0]]
+    if mode.switch:
+        label += f" {_flag(mode.switch[0])}" if switched else f" without {_flag(mode.switch[0])}"
+    readable = set().union(*(m.flags_read(True) for m in command.modes.values()))
+    unread = sorted((given & readable) - mode.flags_read(switched))
+    if unread:
+        raise CliError(f"{name} {label} does not read {', '.join(map(_flag, unread))}")
+    for group in mode.requires.split():
+        if not any(flag in values for flag in group.split("|")):
+            if group == "seed":
+                raise CliError(f"{name} requires an explicit --seed")
+            raise CliError(" or ".join(map(_flag, group.split("|"))) + " is required")
+    return mode
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = {}
-        if args.config is not None:
-            # Config-file values become defaults of the chosen subparser
-            # and the flags are parsed again, so explicit flags always win.
-            sub = _subparser(parser, args.subcommand)
-            config = _coerce_config(_load_config(args.config), sub)
-            sub.set_defaults(**config)
-            args = parser.parse_args(argv)
-        _refuse_unread(args, _given(parser, argv, args.subcommand) | set(config))
-        if args.subcommand in _RANDOMIZED and getattr(args, "seed", None) is None:
-            raise CliError(f"{args.subcommand} requires an explicit --seed")
-        if getattr(args, "threads", 1) < 1:
+        given = vars(build_parser().parse_args(argv))
+        name = given["subcommand"]
+        command = _COMMANDS[name]
+        flags = _flags(command)
+        # Defaults, then config-file values, then flags: explicit flags win.
+        config = _load_config(given["config"], flags) if "config" in given else {}
+        defaults = {dest: spec["default"] for dest, spec in flags.items() if "default" in spec}
+        values = {**defaults, **config, **given}
+        mode = _mode(name, command, values, set(config) | set(given))
+        if values["threads"] < 1:
             raise CliError("--threads must be at least 1")
-        results, passed, plot_rows, csv_flag = args.run(args)
-    except CliError as exc:
-        print(f"curselab: error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ValueError, OSError) as exc:
+        results, plot_rows = mode.run(values)
+        if mode.formula is not None:
+            results = _tag_check(results, set(mode.formula.split()))
+        if isinstance(results, _Sweep):
+            _emit_csv(results.header, results.rows, values.get("out"))
+            passed = results.passed
+        else:
+            # The common flags stay out of the echo: outputs must be
+            # byte-identical across thread counts.
+            echo = {k: x for k, x in values.items() if k not in _COMMON}
+            payload = {"schema": SCHEMA, "subcommand": name, "config": echo, "results": results}
+            _emit_text(json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n",
+                       values.get("out"))
+            passed = results["pass"]
+        if plot_rows:
+            _emit_plot(plot_rows, values.get("plot_data"))
+    except (ValueError, OSError) as exc:  # CliError included
         print(f"curselab: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (HullIterationError, FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"curselab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-    if csv_flag == "csv":
-        header, rows = results
-        _emit_csv(header, rows, args.out)
-    else:
-        payload = {
-            "schema": SCHEMA,
-            "subcommand": args.subcommand,
-            "config": _config_echo(args),
-            "results": results,
-        }
-        _emit_json(payload, args.out)
-    if plot_rows:
-        _emit_plot(plot_rows, args.plot_data)
     return EXIT_OK if passed else EXIT_VIOLATED
-
-
-def _config_echo(args) -> dict:
-    # Execution parameters (output paths, worker count) stay out of the
-    # echo: outputs must be byte-identical across thread counts.
-    skip = {"run", "out", "plot_data", "config", "threads"}
-    echo = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None or callable(value):
-            continue
-        echo[key] = value
-    return echo
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ query's best vertex or retires the query, once the duality gap
 ``||z||^2 - min_j <z, q_j> <= tol * (1 + ||z||)`` certifies its nearest
 point.  Every query gets its nearest point, distance, dense convex
 weights, active set, cycle count, final gap and a stall flag.
-:func:`project_onto_hull` is a batch of one; the neighborhood helpers,
-the fooling functions and the check suites all go through the same
-solver.
+:func:`project_onto_hull` is a batch of one; :func:`slide_toward` turns
+projections into nearest points of a hull neighborhood; the fooling
+functions and the check suites all go through the same solver.
 
 Many callers only need to know on which side of a radius a query's
 hull distance lies.  One verdict, :func:`bracket`, answers that for
@@ -26,7 +26,6 @@ since they are exactly 0 or 1 outside that ramp.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,8 +41,6 @@ __all__ = [
     "project_batch",
     "project_onto_hull",
     "slide_toward",
-    "dist_to_neighborhood",
-    "project_onto_neighborhood",
     "within_distance",
     "elekes_cover_check",
 ]
@@ -359,30 +356,6 @@ def slide_toward(nearest, distance, x, r: float) -> np.ndarray:
     """
     scale = r / np.asarray(distance, dtype=float)
     return nearest + scale[..., None] * (x - nearest)
-
-
-def dist_to_neighborhood(x: np.ndarray, ps: PointSet, delta: float) -> float:
-    """Distance from ``x`` to the delta*sqrt(d)-neighborhood of the hull."""
-    if delta < 0.0:
-        raise ValueError("delta must be non-negative")
-    proj = project_onto_hull(x, ps)
-    return max(0.0, proj.distance - delta * math.sqrt(ps.d))
-
-
-def project_onto_neighborhood(x: np.ndarray, ps: PointSet, delta: float) -> np.ndarray:
-    """Nearest point of the delta*sqrt(d)-neighborhood of the hull.
-
-    Queries inside the neighborhood map to themselves; outside ones map
-    to the point of the boundary sphere around the hull projection.
-    """
-    if delta < 0.0:
-        raise ValueError("delta must be non-negative")
-    x = np.asarray(x, dtype=float).ravel()
-    proj = project_onto_hull(x, ps)
-    r = delta * math.sqrt(ps.d)
-    if proj.distance <= r:
-        return x.copy()
-    return slide_toward(proj.nearest, proj.distance, x, r)
 
 
 def _solver_slack(r: float) -> float:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -10,7 +11,8 @@ import pytest
 
 from curselab.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -222,11 +224,25 @@ def test_fool_check_rejects_empty_sample_counts(capsys, argv, count):
     (["classify", "--k", "inf", "--family", "cube", "--level0", "1:0",
       "--tail-constant", "1", "--levels", "1:0"],
      "classify --k inf does not read --levels"),
+    (["bounds", "--which", "one-point-c1", "--d", "4", "--big-r", "1"],
+     "bounds --which one-point-c1 without --ball-variant does not read --big-r"),
 ])
 def test_flags_the_mode_does_not_read_are_refused(capsys, argv, message):
     code, err = _one_line_error(capsys, argv)
     assert code == 1
     assert message in err
+
+
+@pytest.mark.parametrize("key", ["variant=c2", "algorithm=simpson", "which=upper",
+                                 "family=ball"])
+def test_config_values_outside_the_choices_are_refused(tmp_path, capsys, key):
+    cfg = tmp_path / "choice.cfg"
+    cfg.write_text(key + "\n")
+    subcommand = {"variant": "fool-check", "algorithm": "quad", "which": "bounds",
+                  "family": "classify"}[key.partition("=")[0]]
+    code, err = _one_line_error(capsys, [subcommand, "--config", str(cfg)])
+    assert code == 1
+    assert f"config key {key.partition('=')[0]!r}: invalid choice" in err
 
 
 def test_config_keys_the_mode_does_not_read_are_refused(tmp_path, capsys):
@@ -313,6 +329,55 @@ def test_bounds_requires_dimension(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("which", [
+    "lipschitz-lower", "gradient-cube-lower", "higher-lower", "qpt-cost", "unit-class-cost",
+])
+@pytest.mark.parametrize("dims", [["--d", "10"], ["--d-list", "10,20"]])
+def test_bounds_reading_eps_require_it(capsys, which, dims):
+    code, err = _one_line_error(capsys, ["bounds", "--which", which, *dims])
+    assert code == 1
+    assert err == "curselab: error: --eps or --eps-list is required\n"
+
+
+def test_bounds_requires_which(capsys):
+    code, err = _one_line_error(capsys, ["bounds", "--d", "10", "--eps", "0.1"])
+    assert code == 1
+    assert err == "curselab: error: --which is required\n"
+
+
+def test_bounds_refuses_an_unknown_which(capsys):
+    code, err = _one_line_error(capsys, ["bounds", "--which", "upper", "--d", "10"])
+    assert code == 1
+    assert "invalid choice: 'upper'" in err and "'taylor-upper'" in err
+
+
+def test_bounds_help_lists_every_bound(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bounds", "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for which in ("lipschitz-lower", "one-point-c1", "qpt-cost", "uwt-witness"):
+        assert which in out
+
+
+def test_bounds_refuses_an_empty_list(capsys):
+    code, err = _one_line_error(
+        capsys, ["bounds", "--which", "gradient-cube-lower", "--d", "5", "--d-list", ",",
+                 "--eps", "0.5"],
+    )
+    assert code == 1
+    assert "--d-list" in err
+
+
+def test_bounds_one_point_c1_ball_variant_reads_big_r_and_tail(tmp_path):
+    argv = ["bounds", "--which", "one-point-c1", "--d", "10", "--ball-variant"]
+    code, payload = run_json(argv + ["--big-r", "0.4", "--tail", "0.01"], tmp_path, "a.json")
+    assert code == 0
+    code, default = run_json(argv, tmp_path, "b.json")
+    assert code == 0
+    assert payload["results"]["log_value"] != default["results"]["log_value"]
+
+
 def test_bounds_taylor_upper_beyond_float_range_reports_inf(tmp_path):
     # ln bound = 21 ln 0.5 - ln 20! + ln 1e300 + 10.5 ln 1e5, about 754.8 > ln(max float).
     code, payload = run_json(
@@ -349,6 +414,16 @@ def test_classify_infinite_profile(tmp_path):
     assert payload["results"]["verdict"] == "WT"
 
 
+@pytest.mark.parametrize("d", ["0", "-3"])
+def test_classify_refuses_a_dimension_below_one(capsys, d):
+    code, err = _one_line_error(
+        capsys, ["classify", "--k", "1", "--family", "cube", "--levels", "1:-0.5,1:-1",
+                 "--d", d],
+    )
+    assert code == 1
+    assert f"--d must be at least 1, got {d}" in err
+
+
 def test_classify_validates_level_count(tmp_path):
     code, _ = run_cli(
         ["classify", "--k", "2", "--family", "cube", "--levels", "1:-0.5"],
@@ -374,6 +449,18 @@ def _one_line_error(capsys, argv):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("curselab: error:"), err
     return code, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--p-star", "--out", "{missing}"],
+    ["bounds", "--which", "gradient-cube-lower", "--d-list", "4,5", "--eps", "0.5",
+     "--out", "-", "--plot-data", "{missing}"],
+])
+def test_an_unwritable_output_path_is_invalid(tmp_path, capsys, argv):
+    missing = str(tmp_path / "no-such-dir" / "out")
+    code, err = _one_line_error(capsys, [a.replace("{missing}", missing) for a in argv])
+    assert code == 1
+    assert "no-such-dir" in err
 
 
 def test_volume_bound_beyond_float_range(tmp_path):
@@ -538,6 +625,9 @@ def test_cli_import_loads_no_scipy_solvers():
       "--a-norm", "10", "--seed", "1"], 3),
     (["quad", "--algorithm", "taylor", "--d", "3", "--j", "2", "--fd", "--h", "1e-300",
       "--seed", "1"], 3),
+    # The default Lipschitz constant 1/sqrt(d) is not computed for d < 1.
+    (["fool-check", "--variant", "c0", "--d", "0", "--n", "4", "--seed", "1"], 1),
+    (["quad", "--algorithm", "one-point", "--d", "0", "--seed", "1"], 1),
 ])
 def test_extreme_inputs_end_in_their_exit_code(tmp_path, argv, code):
     # A subprocess with a timeout, so that a hang fails the test and a
@@ -560,3 +650,20 @@ def test_extreme_inputs_end_in_their_exit_code(tmp_path, argv, code):
         rows = [line.split() for line in plot.read_text().splitlines()]
         assert len(rows) == 101
         assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+def _readme_examples() -> list[list[str]]:
+    """The ``curselab`` lines of the README's "Command line" block, as argv lists."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("curselab ")]
+
+
+def test_readme_lists_its_examples():
+    assert len(_readme_examples()) >= 10
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: " ".join(argv[:3]))
+def test_readme_example_runs(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0

@@ -167,47 +167,61 @@ def test_projection_beats_random_hull_points():
 
 
 def test_neighborhood_distance_identity():
+    # A query slid to distance r from its hull projection lies on the
+    # boundary of the r-neighborhood: its own hull distance is r.
     rng = np.random.default_rng(21)
     ps = hull.PointSet(rng.random((4, 3)))
-    delta = 0.07
-    for _ in range(50):
-        x = rng.random(3) * 2.0
-        direct = hull.dist_to_neighborhood(x, ps, delta)
-        proj = hull.project_onto_hull(x, ps)
-        expected = max(0.0, proj.distance - delta * math.sqrt(3))
-        assert abs(direct - expected) <= 1e-12
+    r = 0.07 * math.sqrt(3)
+    x = rng.random((50, 3)) * 2.0
+    proj = hull.project_batch(ps, x)
+    out = proj.distance > r
+    moved = hull.slide_toward(proj.nearest[out], proj.distance[out], x[out], r)
+    assert out.sum() > 25
+    assert np.allclose(hull.project_batch(ps, moved).distance, r, atol=1e-10)
 
 
 def test_neighborhood_distance_examples():
     ps = hull.PointSet(np.array([[0.3], [0.5]]))
-    assert hull.dist_to_neighborhood(np.array([0.4]), ps, 0.05) == 0.0
-    assert hull.dist_to_neighborhood(np.array([0.7]), ps, 0.1) == pytest.approx(
-        0.1, abs=1e-10
-    )
+    proj = hull.project_batch(ps, np.array([[0.4], [0.7]]))
+    assert proj.distance[0] == 0.0
+    assert proj.distance[1] == pytest.approx(0.2, abs=1e-10)
+    moved = hull.slide_toward(proj.nearest[1], proj.distance[1], np.array([0.7]), 0.1)
+    assert moved[0] == pytest.approx(0.6, abs=1e-10)
 
 
 def test_neighborhood_projection_inside_returns_query():
+    # Inside the r-neighborhood a query is its own nearest point: the
+    # projection puts it within r, and sliding it to its own distance
+    # leaves it in place.
     ps = hull.PointSet(np.array([[0.5, 0.5]]))
     x = np.array([0.5, 0.52])
-    out = hull.project_onto_neighborhood(x, ps, 0.1)
-    assert np.array_equal(out, x)
+    proj = hull.project_batch(ps, x[None, :])
+    assert proj.distance[0] <= 0.1 * math.sqrt(2)
+    out = hull.slide_toward(proj.nearest[0], proj.distance[0], x, proj.distance[0])
+    assert np.allclose(out, x, rtol=0.0, atol=1e-15)
 
 
 def test_neighborhood_projection_one_dimensional():
     ps = hull.PointSet(np.array([[0.0]]))
-    out = hull.project_onto_neighborhood(np.array([3.0]), ps, 1.0)
-    assert out[0] == pytest.approx(1.0, abs=1e-10)
+    proj = hull.project_batch(ps, np.array([[3.0]]))
+    out = hull.slide_toward(proj.nearest, proj.distance, np.array([[3.0]]), 1.0)
+    assert out[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_neighborhood_projection_distance_consistency():
+    # The slide moves a query by its hull distance minus r, for a batch
+    # and for each query alone.
     rng = np.random.default_rng(31)
     ps = hull.PointSet(rng.random((5, 4)))
-    delta = 0.1
-    for _ in range(25):
-        x = rng.random(4) * 3.0
-        moved = hull.project_onto_neighborhood(x, ps, delta)
-        dist = hull.dist_to_neighborhood(x, ps, delta)
-        assert np.linalg.norm(x - moved) == pytest.approx(dist, abs=1e-8)
+    r = 0.1 * math.sqrt(4)
+    x = rng.random((25, 4)) * 3.0
+    proj = hull.project_batch(ps, x)
+    assert np.all(proj.distance > r)
+    moved = hull.slide_toward(proj.nearest, proj.distance, x, r)
+    assert np.allclose(np.linalg.norm(x - moved, axis=1), proj.distance - r, atol=1e-8)
+    for i in range(len(x)):
+        alone = hull.slide_toward(proj.nearest[i], proj.distance[i], x[i], r)
+        assert np.array_equal(alone, moved[i])
 
 
 def test_within_distance_agrees_with_wolfe():
