@@ -381,6 +381,8 @@ def _infinite_profile(v) -> bd.SmoothnessProfile:
 
 
 def _finite_profile(v) -> bd.SmoothnessProfile:
+    if not v["k"].isdecimal():
+        raise CliError(f"--k must be a non-negative integer or inf, got {v['k']}")
     k = int(v["k"])
     levels = _parse_levels(v["levels"])
     if len(levels) != k + 1:

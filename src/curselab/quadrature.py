@@ -8,10 +8,13 @@ even contribute.  They are enumerated once, as an (m, d) int8 array in
 lexicographic order, and their weights prod_i cube_moment(beta_i) /
 beta_i! come from per-component lookup tables.  The derivatives come
 either from a batched analytic oracle, called once with the whole
-array, or from tensor-product central differences on a shared,
-exactly-keyed stencil cache.  ``evaluations_used`` counts the distinct
-points actually evaluated, so the binomial cost claims can be checked
-exactly, and an evaluation budget can refuse a rule before it runs.
+array, or from tensor-product central differences.  Their stencils are
+built in numpy a block of multi-indices at a time, checked against the
+domain in one call per block, and shared across multi-indices: each
+distinct node is evaluated once.  ``evaluations_used`` counts the
+distinct points actually evaluated, so the binomial cost claims can be
+checked exactly, and an evaluation budget can refuse a rule before it
+runs.
 """
 
 from __future__ import annotations
@@ -101,28 +104,6 @@ def cube_moment(b: int) -> float:
     return 0.5**b / (b + 1.0)
 
 
-def _central_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets (in units of h) and weights of the order-b central difference."""
-    m = np.arange(order + 1)
-    offsets = order / 2.0 - m
-    coeffs = np.array([(-1) ** int(i) * math.comb(order, int(i)) for i in m], dtype=float)
-    return offsets, coeffs
-
-
-def _stencil(beta: tuple[int, ...], h: float):
-    """Tensor stencil for D^beta: yields (offset vector, coefficient)."""
-    per_coord = [_central_nodes(b) for b in beta]
-    d = len(beta)
-    for combo in itertools.product(*(range(b + 1) for b in beta)):
-        offset = np.zeros(d)
-        coeff = 1.0
-        for i, m in enumerate(combo):
-            offs, cs = per_coord[i]
-            offset[i] = offs[m]
-            coeff *= cs[m]
-        yield offset * h, coeff
-
-
 def fd_partial(
     f: Integrand,
     x: np.ndarray,
@@ -138,6 +119,7 @@ def fd_partial(
     multi-indices are reused through ``cache``.  With ``dom`` given,
     stencil nodes outside the domain raise
     :class:`StencilOutsideDomainError` naming the offending coordinate.
+    It is the Taylor rule's stencil build for a single multi-index.
     """
     x = np.asarray(x, dtype=float).ravel()
     beta = tuple(int(b) for b in beta)
@@ -145,28 +127,117 @@ def fd_partial(
         raise ValueError("multi-index length must match the dimension")
     if any(b < 0 for b in beta):
         raise ValueError("multi-index entries must be non-negative")
-    total = sum(beta)
-    if total > 8:
+    if sum(beta) > 8:
         raise ValueError("|beta| above the practical cap of 8")
-    if h <= 0.0:
+    return _fd_derivatives(f, x, np.array([beta]), h, dom, {} if cache is None else cache)[0]
+
+
+#: Entries per array in one block of stencil nodes (1 MiB of float64).
+_BLOCK_ENTRIES = 1 << 17
+
+# _CENTRAL_WEIGHTS[b, m] = (-1)^m C(b, m): the order-b central difference's
+# weight on its node at offset (b/2 - m) h, for b, m <= 8.
+_CENTRAL_WEIGHTS = np.array(
+    [[(-1) ** m * math.comb(b, m) for m in range(9)] for b in range(9)], dtype=float
+)
+
+
+def _stencil_sizes(betas: np.ndarray) -> np.ndarray:
+    """prod_i (beta_i + 1) per row: the nodes of each tensor stencil."""
+    sizes = np.ones(len(betas), dtype=np.int64)
+    for column in betas.T:
+        sizes *= column.astype(np.int64) + 1
+    return sizes
+
+
+def _stencil_block(x: np.ndarray, betas: np.ndarray, steps: np.ndarray):
+    """Every tensor-stencil node of the rows of ``betas``, row after row.
+
+    Row r's nodes are enumerated as ``itertools.product`` enumerates the
+    per-coordinate indices m_i in range(beta_i + 1), the last coordinate
+    fastest: node index t has the mixed-radix digits
+    m_i = t // prod_{k>i} (beta_k + 1) % (beta_i + 1).  The node is
+    x_i + (beta_i / 2 - m_i) * steps[r] in coordinate i, and its
+    coefficient prod_i (-1)^m_i C(beta_i, m_i) is multiplied in
+    coordinate order.  Returns (nodes, coeffs, row, t): the (n, d) nodes,
+    their coefficients, and each node's row and index in its stencil.
+    """
+    radix = betas.astype(np.int64) + 1
+    after = np.ones_like(radix)  # after[r, i] = prod_{k>i} radix[r, k]
+    after[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
+    sizes = radix[:, 0] * after[:, 0]
+    row = np.repeat(np.arange(len(betas)), sizes)
+    t = np.arange(len(row)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    h = steps[row]
+    nodes = np.empty((len(row), len(x)))
+    coeffs = np.ones(len(row))
+    for i in range(len(x)):
+        b = betas[row, i]
+        m = t // after[row, i] % radix[row, i]
+        nodes[:, i] = x[i] + (b / 2.0 - m) * h
+        coeffs *= _CENTRAL_WEIGHTS[b, m]
+    return nodes, coeffs, row, t
+
+
+def _fd_derivatives(
+    f: Integrand,
+    x: np.ndarray,
+    betas: np.ndarray,
+    h: float | None,
+    dom: DomainSpec | None,
+    cache: dict,
+) -> np.ndarray:
+    """Central-difference estimates of D^beta f(x), one per row of ``betas``.
+
+    Row r uses step h, or ``default_fd_step(|beta_r|)`` when h is None.
+    The stencils are built in blocks of rows, at most ``_BLOCK_ENTRIES``
+    node coordinates each.  With ``dom`` given, a block with a node
+    outside the domain raises :class:`StencilOutsideDomainError` for its
+    first such node.  ``cache`` maps the bytes of a node's coordinates to
+    its value, so every distinct node is evaluated once, through
+    ``f.value_at`` and in enumeration order, and ``len(cache)`` counts
+    them.  Each row's terms coeff * value are summed one by one in
+    stencil order and divided by step ** |beta|.
+    """
+    if h is not None and h <= 0.0:
         raise ValueError("h must be positive")
-    if cache is None:
-        cache = {}
-    acc = 0.0
-    for offset, coeff in _stencil(beta, h):
-        node = x + offset
-        key = tuple(node.tolist())
-        if key not in cache:
-            if dom is not None and not bool(dom.contains(node[None, :])[0]):
+    d = len(x)
+    orders = betas.sum(axis=1, dtype=np.int64)
+    steps = [h if h is not None else default_fd_step(o) for o in range(9)]
+    row_steps = np.array(steps)[orders]
+    sizes = _stencil_sizes(betas)
+    rows = max(1, _BLOCK_ENTRIES // (d * int(sizes.max(initial=1))))
+    derivs = np.empty(len(betas))
+    for start in range(0, len(betas), rows):
+        block = slice(start, start + rows)
+        block_orders = orders[block]
+        nodes, coeffs, row, t = _stencil_block(x, betas[block], row_steps[block])
+        if dom is not None:
+            inside = dom.contains(nodes)
+            if not inside.all():
+                node = nodes[np.argmin(inside)]
                 bad = int(np.argmax((node < 0.0) | (node > 1.0))) if dom.kind == "cube" else -1
                 raise StencilOutsideDomainError(
                     f"stencil node leaves the domain (coordinate {bad}, value {node[bad]:.6g})"
                     if bad >= 0
                     else "stencil node leaves the domain"
                 )
-            cache[key] = f.value_at(node)
-        acc += coeff * cache[key]
-    return acc / h**total
+        values = []
+        for i, key in enumerate(nodes.view(np.dtype((np.void, 8 * d))).ravel().tolist()):
+            value = cache.get(key)
+            if value is None:
+                # A copy, so an integrand that writes to its input cannot alter the block.
+                value = cache[key] = f.value_at(nodes[i].copy())
+            values.append(value)
+        terms = np.zeros((len(block_orders), int(sizes[block].max())))
+        terms[row, t] = coeffs * np.array(values)
+        acc = np.zeros(len(terms))
+        for column in terms.T:
+            acc += column
+        # Python's float power: numpy's power may run SIMD code that rounds differently.
+        powers = [steps[o] ** o for o in range(int(block_orders.max()) + 1)]
+        derivs[block] = acc / np.array(powers)[block_orders]
+    return derivs
 
 
 def _even_multi_indices(d: int, j: int) -> np.ndarray:
@@ -203,14 +274,6 @@ def _column_product(tables, betas: np.ndarray, start: float = 1.0) -> np.ndarray
     for table, column in zip(tables, betas.T):
         out *= table[column]
     return out
-
-
-def _stencil_bound(betas: np.ndarray) -> int:
-    """sum over rows of prod_i (beta_i + 1): stencil nodes before sharing."""
-    sizes = np.ones(len(betas), dtype=np.int64)
-    for column in betas.T:
-        sizes *= column.astype(np.int64) + 1
-    return int(sizes.sum())
 
 
 def default_fd_step(order: int) -> float:
@@ -255,7 +318,7 @@ def quad_taylor(
             f"evaluations, above the budget of {max_evals}"
         )
     betas = _even_multi_indices(dom.d, j)
-    cap = terms if analytic else _stencil_bound(betas)
+    cap = terms if analytic else int(_stencil_sizes(betas).sum())
     # On the analytic path cap == terms, checked above.
     if max_evals is not None and cap > max_evals:
         raise EvaluationBudgetError(
@@ -268,10 +331,7 @@ def quad_taylor(
         used = terms
     else:
         cache: dict = {}
-        derivs = np.empty(terms)
-        for row, beta in enumerate(betas.tolist()):
-            step = h if h is not None else default_fd_step(sum(beta))
-            derivs[row] = fd_partial(f, x_star, beta, step, dom=dom, cache=cache)
+        derivs = _fd_derivatives(f, x_star, betas, h, dom, cache)
         used = len(cache)
     fact = _column_product(itertools.repeat(_FACTORIALS), betas)
     moment = _column_product(itertools.repeat(_MOMENTS), betas)

@@ -424,6 +424,15 @@ def test_classify_refuses_a_dimension_below_one(capsys, d):
     assert f"--d must be at least 1, got {d}" in err
 
 
+@pytest.mark.parametrize("k", ["-1", "1.5", "two"])
+def test_classify_refuses_a_k_that_is_no_order(capsys, k):
+    code, err = _one_line_error(
+        capsys, ["classify", "--k", k, "--family", "cube", "--levels", "1:0"],
+    )
+    assert code == 1
+    assert err == f"curselab: error: --k must be a non-negative integer or inf, got {k}\n"
+
+
 def test_classify_validates_level_count(tmp_path):
     code, _ = run_cli(
         ["classify", "--k", "2", "--family", "cube", "--levels", "1:-0.5"],
@@ -527,6 +536,17 @@ def test_classify_names_a_non_positive_constant(capsys, argv, name):
     code, err = _one_line_error(capsys, argv)
     assert code == 1
     assert name in err and "positive" in err
+
+
+def test_quad_fd_names_the_first_stencil_node_outside_the_cube(capsys):
+    # With h = 0.3 every order-2 node lies in [0.2, 0.8]; the first node
+    # outside is the first of beta = (0, 0, 4), at 0.5 + 2 h in coordinate 2.
+    code = main(["quad", "--algorithm", "taylor", "--d", "3", "--j", "4", "--fd",
+                 "--h", "0.3", "--seed", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "curselab: error: stencil node leaves the domain (coordinate 2, value 1.1)\n"
+    )
 
 
 def test_quad_fd_over_budget_refused_before_running(capsys):

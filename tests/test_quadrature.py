@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,7 +203,25 @@ def test_even_multi_indices_match_oracle_in_order(d, j):
     assert [tuple(beta) for beta in betas.tolist()] == _even_multi_indices_oracle(d, j)
 
 
-def _scalar_taylor(f, d, j, partial=None):
+def _scalar_fd_partial(f, x, beta, h, dom, cache):
+    """Central differences node by node, as itertools.product enumerates
+    the tensor stencil, with a tuple-keyed cache of the values."""
+    acc = 0.0
+    for combo in itertools.product(*(range(b + 1) for b in beta)):
+        offset = np.array([b / 2.0 - m for b, m in zip(beta, combo)])
+        coeff = 1.0
+        for b, m in zip(beta, combo):
+            coeff *= np.float64((-1) ** m * math.comb(b, m))
+        node = x + offset * h
+        key = tuple(node.tolist())
+        if key not in cache:
+            assert dom.contains(node[None, :])[0]
+            cache[key] = f.value_at(node)
+        acc += coeff * cache[key]
+    return acc / h ** sum(beta)
+
+
+def _scalar_taylor(f, d, j, partial=None, h=None):
     """The Taylor rule as a scalar loop over tuples, one term at a time."""
     dom = geometry.DomainSpec.cube(d)
     x_star = dom.center
@@ -219,8 +238,8 @@ def _scalar_taylor(f, d, j, partial=None):
         if partial is not None:
             deriv = float(partial(x_star, beta))
         else:
-            step = quadrature.default_fd_step(sum(beta))
-            deriv = quadrature.fd_partial(f, x_star, beta, step, dom=dom, cache=cache)
+            step = h if h is not None else quadrature.default_fd_step(sum(beta))
+            deriv = _scalar_fd_partial(f, x_star, beta, step, dom, cache)
         value += deriv / fact * moment
     used = len(betas) if partial is not None else len(cache)
     return value, used
@@ -254,11 +273,51 @@ def test_taylor_bit_identical_to_scalar_loop(d, j):
 
 
 def test_taylor_fd_bit_identical_to_scalar_loop():
-    d, j = 6, 4
-    sine, _ = _sine_case(d, seed=3)
-    f = quadrature.Integrand(eval=sine.eval, exact_integral=sine.exact_integral)
-    result = quadrature.quad_taylor(f, geometry.DomainSpec.cube(d), j)
-    assert (result.value, result.evaluations_used) == _scalar_taylor(f, d, j)
+    # (12, 6) is the README and benchmark size, (8, 8) has 81-node
+    # stencils, and with one h for every order the stencils of different
+    # orders share nodes, so the cache must merge them.
+    for d, j, h in [(6, 4, None), (12, 6, None), (8, 8, None), (4, 4, 0.01)]:
+        sine, _ = _sine_case(d, seed=3)
+        f = quadrature.Integrand(eval=sine.eval, exact_integral=sine.exact_integral)
+        result = quadrature.quad_taylor(f, geometry.DomainSpec.cube(d), j, h=h)
+        expected = _scalar_taylor(f, d, j, h=h)
+        assert (result.value, result.evaluations_used) == expected, (d, j, h)
+
+
+@pytest.mark.parametrize("beta", [(0, 0, 0), (1, 0, 2), (3, 1, 0), (2, 2, 2), (0, 5, 3)])
+def test_fd_partial_bit_identical_to_scalar_stencil(beta):
+    # Odd orders and a point off the cube center, with a cache shared
+    # across calls as the Taylor rule shares it.
+    sine, _ = _sine_case(3, seed=5)
+    f = quadrature.Integrand(eval=sine.eval)
+    dom = geometry.DomainSpec.cube(3)
+    x = np.array([0.31, 0.5, 0.77])
+    cache, scalar_cache = {}, {}
+    quadrature.fd_partial(f, x, (2, 0, 0), 0.02, dom=dom, cache=cache)
+    _scalar_fd_partial(f, x, (2, 0, 0), 0.02, dom, scalar_cache)
+    got = quadrature.fd_partial(f, x, beta, 0.02, dom=dom, cache=cache)
+    assert got == _scalar_fd_partial(f, x, beta, 0.02, dom, scalar_cache)
+    assert len(cache) == len(scalar_cache)
+
+
+def test_taylor_fd_memory_is_bounded_by_blocks():
+    # d=30, j=6: 5,456 multi-indices with 127,036 stencil nodes, 39,801
+    # of them distinct.  The stencil arrays are built a block of rows at
+    # a time, so the peak is the cache of distinct nodes plus one block.
+    d, j = 30, 6
+    sine, _ = _sine_case(d, seed=1)
+    f = quadrature.Integrand(eval=sine.eval)
+    tracemalloc.start()
+    try:
+        result = quadrature.quad_taylor(f, geometry.DomainSpec.cube(d), j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.evaluations_cap == 127_036
+    assert result.evaluations_used == 39_801
+    assert peak <= 32 * 2**20
+    # The node-by-node loop's value at this size.
+    assert result.value == 0.0468167448397735
 
 
 def test_taylor_budget_refuses_before_evaluating():
