@@ -5,7 +5,7 @@ Library layout:
 * :mod:`curselab.geometry` -- volume-one domains, lp radii, the critical
   exponent of the small-radius regime.
 * :mod:`curselab.hull` -- convex-hull projection (Wolfe min-norm point),
-  neighborhood distances, batched classification.
+  batched neighborhood classification, midpoint-cover check.
 * :mod:`curselab.volume` -- analytic hull-neighborhood volume bounds and
   Monte Carlo estimators.
 * :mod:`curselab.fooling` -- worst-case integrands with certified

@@ -18,7 +18,6 @@ actually test; finite data tables could not certify any of them.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 from scipy.special import gammaln
@@ -39,6 +38,7 @@ __all__ = [
     "unit_derivative_cost_bound",
     "non_uniform_weak_witness",
     "classify",
+    "exp_or_inf",
     "GRADIENT_CUBE_L0",
     "GRADIENT_CUBE_L1",
 ]
@@ -48,7 +48,13 @@ __all__ = [
 GRADIENT_CUBE_L0 = 400.0
 GRADIENT_CUBE_L1 = 16.0e5
 
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+def exp_or_inf(log_value: float) -> float:
+    """exp(log_value), or inf where that exceeds the float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +338,7 @@ def ub_taylor(j: int, lip_j: float, d: int, big_r: float) -> BoundReport:
         direction="upper",
         preconditions_met=True,
         # The log stays finite; the value is inf beyond the float range.
-        extras={"value": math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf},
+        extras={"value": exp_or_inf(log_value)},
     )
 
 

@@ -3,8 +3,12 @@
 Each suite draws seeded samples, measures the quantity a construction
 certifies (Lipschitz quotients, exact zero/one regions, convolution
 behavior, quadrature error against its bound) and reports measured
-values, the certified bounds, and pass flags.  The CLI exposes them as
-subcommands and the acceptance tests call them directly.
+values, the certified bounds, and pass flags.  Each float figure, and
+each float in a list of figures, is returned as a ``{"value",
+"provenance"}`` pair built by :func:`tagged`: ``formula`` for a closed
+form or certified bound, ``monte_carlo`` for a sampled measurement.
+Counts, flags, names and the certificate stay bare.  The CLI exposes
+the suites as subcommands and the acceptance tests call them directly.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .quadrature import (
 from .rng import substream
 
 __all__ = [
+    "tagged",
     "random_point_set",
     "fool_check_c0",
     "fool_check_c1",
@@ -50,6 +55,17 @@ POINTS_STREAM = 1 << 32
 #: smoothed means with the Lipschitz certificate.
 _GRAD_POINTS = 40
 _LIP_PAIRS = 4
+
+
+def tagged(provenance: str, **figures) -> dict:
+    """Each figure as a ``{"value", "provenance"}`` pair, a list as a list of
+    pairs; None, which is no figure, stays None."""
+    def tag(value):
+        if isinstance(value, list):
+            return [tag(v) for v in value]
+        return None if value is None else {"value": value, "provenance": provenance}
+
+    return {key: tag(value) for key, value in figures.items()}
 
 
 def random_point_set(dom: DomainSpec, n: int, seed: int) -> PointSet:
@@ -128,8 +144,8 @@ def fool_check_c0(
     return _with_pass({
         "variant": "c0",
         "certificate": f.to_json_dict(),
-        "max_lipschitz_quotient": max_q,
-        "lipschitz_bound": bound,
+        **tagged("monte_carlo", max_lipschitz_quotient=max_q),
+        **tagged("formula", lipschitz_bound=bound),
         "lipschitz_pass": max_q <= bound * (1.0 + 1e-8),
         "range_pass": in_range,
     })
@@ -271,11 +287,10 @@ def fool_check_c1(
     return _with_pass({
         "variant": "c1",
         "certificate": f.to_json_dict(),
-        "max_lipschitz_quotient": max_q,
-        "lipschitz_bound": l0,
+        **tagged("monte_carlo", max_lipschitz_quotient=max_q, max_gradient_quotient=max_gq,
+                 grad_fd_max_rel_err=max_rel),
+        **tagged("formula", lipschitz_bound=l0, gradient_bound=l1),
         "lipschitz_pass": max_q <= l0 * (1.0 + 1e-8),
-        "max_gradient_quotient": max_gq,
-        "gradient_bound": l1,
         "gradient_pass": max_gq <= l1 * (1.0 + 1e-6),
         "zeros_exact": zeros_exact,
         "zeros_total": samples,
@@ -283,7 +298,6 @@ def fool_check_c1(
         "ones_exact": ones_exact,
         "ones_total": samples,
         "ones_pass": ones_exact == samples,
-        "grad_fd_max_rel_err": max_rel,
         "grad_fd_points": checked,
         "grad_fd_near_breakpoint": near_breakpoint,
         "grad_fd_support_changes": support_changes,
@@ -369,18 +383,14 @@ def smooth_check(
             lip_pass = False
 
     return _with_pass({
-        "constant_hook": mean_c,
+        **tagged("monte_carlo", constant_hook=mean_c, affine_mean=mean_a,
+                 zero_means=zero_means, one_means=one_means, max_mean_quotient=max_quotient,
+                 mean_quotient_allowance=max_allowance),
+        **tagged("formula", affine_target=target, lipschitz_bound=lip),
         "constant_pass": const_pass,
-        "affine_mean": mean_a,
-        "affine_target": target,
         "affine_pass": affine_pass,
-        "zero_means": zero_means,
         "zero_pass": zero_pass,
-        "one_means": one_means,
         "one_pass": one_pass,
-        "max_mean_quotient": max_quotient,
-        "mean_quotient_allowance": max_allowance,
-        "lipschitz_bound": lip,
         "mean_lipschitz_pass": lip_pass,
     })
 
@@ -428,11 +438,9 @@ def quad_check_sine(
             f"{bound + fd_slack} is not finite"
         )
     return _with_pass({
-        "value": result.value,
-        "exact": f.exact_integral,
-        "error": err,
-        "error_bound": bound,
-        "fd_slack": fd_slack,
+        # No figure of the rule is sampled.
+        **tagged("formula", value=result.value, exact=f.exact_integral, error=err,
+                 error_bound=bound, fd_slack=fd_slack),
         "evaluations_used": result.evaluations_used,
         "evaluations_cap": result.evaluations_cap,
         "error_pass": err <= bound + fd_slack,
@@ -457,10 +465,7 @@ def one_point_check_c0(
     bound = ub_one_point_c0(lipschitz, d, 0.5, 0.0)
     err = abs(ref - result.value)
     return {
-        "one_point_value": result.value,
-        "reference_mean": ref,
-        "reference_half_width": half,
-        "error": err,
-        "error_bound": bound.extras["value"],
+        **tagged("formula", one_point_value=result.value, error_bound=bound.extras["value"]),
+        **tagged("monte_carlo", reference_mean=ref, reference_half_width=half, error=err),
         "pass": err <= bound.extras["value"] + 3.0 * half,
     }

@@ -36,6 +36,7 @@ from . import bounds as bd
 from . import checks
 from . import geometry as geo
 from . import volume as vol
+from .checks import tagged
 from .hull import HullIterationError, PointSet
 from .quadrature import EvaluationBudgetError
 
@@ -63,28 +64,6 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------------------
 # Output helpers
-
-
-def _num(value, provenance: str) -> dict:
-    return {"value": value, "provenance": provenance}
-
-
-def _tagged(provenance: str, **figures) -> dict:
-    return {key: _num(value, provenance) for key, value in figures.items()}
-
-
-def _tag_check(data: dict, formula_keys: set[str]) -> dict:
-    """Tag a check suite's floats (and lists of floats): ``formula`` for
-    ``formula_keys``, ``monte_carlo`` for the rest; other values pass as is."""
-    results = {}
-    for key, value in data.items():
-        provenance = "formula" if key in formula_keys else "monte_carlo"
-        if isinstance(value, float):
-            value = _num(value, provenance)
-        elif isinstance(value, list):
-            value = [_num(v, provenance) for v in value]
-        results[key] = value
-    return results
 
 
 def _sanitize(obj):
@@ -243,9 +222,9 @@ def _run_gamma(v, name: str, gc: vol.GammaConstant):
     results = {
         "constant": name,
         "pass": gc.value < threshold,
-        **_tagged("formula", delta=gc.delta, eta=gc.eta, slope_at_zero=gc.slope_at_zero,
-                  check_below=threshold),
-        **_tagged("solver", value=gc.value, alpha_star=gc.alpha_star),
+        **tagged("formula", delta=gc.delta, eta=gc.eta, slope_at_zero=gc.slope_at_zero,
+                 check_below=threshold),
+        **tagged("solver", value=gc.value, alpha_star=gc.alpha_star),
     }
     # An infimum only approached as alpha -> inf is plotted over [0, 1].
     span = gc.alpha_star if math.isfinite(gc.alpha_star) else 0.0
@@ -257,25 +236,25 @@ def _run_p_star(v):
     tol = v.get("tol", 1e-10)
     root = geo.solve_p_star(tol)
     residual = geo.p_star_lhs(root) - math.sqrt(math.pi * math.e / 2.0)
-    return {"constant": "p_star", "pass": True, "tol": _num(tol, "formula"),
-            **_tagged("solver", value=root, residual=residual)}, None
+    return {"constant": "p_star", "pass": True, **tagged("formula", tol=tol),
+            **tagged("solver", value=root, residual=residual)}, None
 
 
 def _run_radius(v):
     nr = geo.lp_normalized_radius(v["p"], v["d"])
     return {"constant": "radius", "pass": True,
-            **_tagged("formula", p=nr.p, d=nr.d, value=nr.value, ratio=nr.ratio)}, None
+            **tagged("formula", p=nr.p, d=nr.d, value=nr.value, ratio=nr.ratio)}, None
 
 
 def _run_limit_ratio(v):
-    return {"constant": "limit_ratio", "pass": True, **_tagged(
+    return {"constant": "limit_ratio", "pass": True, **tagged(
         "formula", p=v["p"], value=geo.radius_limit_ratio(v["p"]),
         small_radius_threshold=geo.SMALL_RADIUS_THRESHOLD)}, None
 
 
 def _run_ball_volume(v):
     p, d = v["p"], v["d"]
-    return {"constant": "ball_volume", "pass": True, **_tagged(
+    return {"constant": "ball_volume", "pass": True, **tagged(
         "formula", p=p, d=d, volume=geo.lp_unit_ball_volume(p, d),
         log_volume=geo.lp_unit_ball_volume_log(p, d))}, None
 
@@ -293,9 +272,9 @@ def _run_volume(v):
         "domain": v["domain"],
         "bound_source": est.bound_source,
         "pass": est.passed,
-        **_tagged("formula", d=v["d"], n_points=ps.n, delta=v["delta"], samples=est.samples,
-                  seed=est.seed, bound_log=est.bound_log),
-        **_tagged("monte_carlo", mean=est.mean, half_width_95=est.half_width_95),
+        **tagged("formula", d=v["d"], n_points=ps.n, delta=v["delta"], samples=est.samples,
+                 seed=est.seed, bound_log=est.bound_log),
+        **tagged("monte_carlo", mean=est.mean, half_width_95=est.half_width_95),
     }
     return results, [(v["delta"], est.mean, est.bound)]
 
@@ -324,17 +303,13 @@ class _Sweep(NamedTuple):
     passed: bool
 
 
-def _exp(log_value: float) -> float:
-    return math.exp(log_value) if log_value < 700 else math.inf
-
-
 def _run_bounds(v, build):
     d_values = v.get("d_list") or [v["d"]]
     eps_values = v.get("eps_list") or [v.get("eps")]
     reports = [((d, eps), build(v, d, eps)) for d in d_values for eps in eps_values]
     if len(reports) > 1:
         header = ["d", "eps", "log_value", "value", "preconditions_met", "rule"]
-        rows = [[d, "" if eps is None else eps, r.log_value, _exp(r.log_value),
+        rows = [[d, "" if eps is None else eps, r.log_value, bd.exp_or_inf(r.log_value),
                  r.preconditions_met, r.rule] for (d, eps), r in reports]
         plot_rows = [(d, r.log_value) if eps is None else (d, eps, r.log_value)
                      for (d, eps), r in reports]
@@ -342,14 +317,14 @@ def _run_bounds(v, build):
     (d, eps), report = reports[0]
     return {
         "which": v["which"],
-        **_tagged("formula", d=d, log_value=report.log_value, value=_exp(report.log_value)),
-        "eps": _num(eps, "formula") if eps is not None else None,
+        **tagged("formula", d=d, eps=eps, log_value=report.log_value,
+                 value=bd.exp_or_inf(report.log_value)),
         "direction": report.direction,
         "rule": report.rule,
         "preconditions_met": report.preconditions_met,
         "note": report.note,
-        "extras": {k: _num(x, "formula") if isinstance(x, float) else x
-                   for k, x in report.extras.items()},
+        "extras": {**report.extras, **tagged(
+            "formula", **{k: x for k, x in report.extras.items() if isinstance(x, float)})},
         "pass": report.preconditions_met,
     }, None
 
@@ -411,15 +386,12 @@ class Mode(NamedTuple):
     ``reads`` lists the flags the mode reads, besides those that select
     it; ``switch`` names a store_true flag and the flags the mode reads
     only while it is set.  ``requires`` lists the flags that must be
-    given, ``a|b`` for ``--a`` or ``--b``.  ``formula`` lists the result
-    keys tagged ``formula``, all others ``monte_carlo``; None where
-    ``run`` tags its results itself.
+    given, ``a|b`` for exactly one of ``--a`` and ``--b``.
     """
 
     reads: str
     requires: str
     run: Callable[[dict], tuple]
-    formula: str | None = None
     switch: tuple[str, str] | None = None
 
     def flags_read(self, switched: bool) -> set[str]:
@@ -527,13 +499,11 @@ _COMMANDS = {
             "c0": Mode(
                 "d n lipschitz pairs seed", "seed d n",
                 lambda v: (checks.fool_check_c0(v["d"], v["n"], _lipschitz(v), v["pairs"],
-                                                v["seed"]), None),
-                formula="lipschitz_bound"),
+                                                v["seed"]), None)),
             "c1": Mode(
                 "d n delta pairs samples seed", "seed d n delta",
                 lambda v: (checks.fool_check_c1(v["d"], v["n"], v["delta"], v["pairs"],
-                                                v["seed"], samples=v["samples"]), None),
-                formula="lipschitz_bound gradient_bound"),
+                                                v["seed"], samples=v["samples"]), None)),
         },
     ),
     "smooth-check": Command(
@@ -545,8 +515,7 @@ _COMMANDS = {
         modes={"": Mode(
             "d n delta k samples seed", "seed d n delta k samples",
             lambda v: (checks.smooth_check(v["d"], v["n"], v["delta"], v["k"], v["samples"],
-                                           v["seed"]), None),
-            formula="lipschitz_bound affine_target")},
+                                           v["seed"]), None))},
     ),
     "quad": Command(
         help="quadrature error vs bound on a test family",
@@ -562,15 +531,12 @@ _COMMANDS = {
         select="algorithm",
         label="--algorithm {key}",
         modes={
-            # No Taylor figure is sampled.
             "taylor": Mode("d j amplitude a_norm max_evals seed", "seed d j", _run_taylor,
-                           formula="value exact error error_bound fd_slack",
                            switch=("fd", "fd h")),
             "one-point": Mode(
                 "d lipschitz samples seed", "seed d",
                 lambda v: (checks.one_point_check_c0(v["d"], _lipschitz(v), v["samples"],
-                                                     v["seed"]), None),
-                formula="one_point_value error_bound"),
+                                                     v["seed"]), None)),
         },
     ),
     "bounds": Command(
@@ -662,7 +628,7 @@ def build_parser() -> _Parser:
 
 def _mode(name: str, command: Command, values: dict, given: set[str]) -> Mode:
     """The mode the values select, once no flag it does not read was given
-    and every flag it requires was."""
+    and every flag it requires was: one flag of each ``a|b`` group."""
     if callable(command.select):
         key = command.select(values)
     elif command.select in values:
@@ -679,10 +645,14 @@ def _mode(name: str, command: Command, values: dict, given: set[str]) -> Mode:
     if unread:
         raise CliError(f"{name} {label} does not read {', '.join(map(_flag, unread))}")
     for group in mode.requires.split():
-        if not any(flag in values for flag in group.split("|")):
+        flags = group.split("|")
+        given_flags = [flag for flag in flags if flag in values]
+        if len(given_flags) > 1:
+            raise CliError(" and ".join(map(_flag, given_flags)) + " cannot both be given")
+        if not given_flags:
             if group == "seed":
                 raise CliError(f"{name} requires an explicit --seed")
-            raise CliError(" or ".join(map(_flag, group.split("|"))) + " is required")
+            raise CliError(" or ".join(map(_flag, flags)) + " is required")
     return mode
 
 
@@ -701,8 +671,6 @@ def main(argv: list[str] | None = None) -> int:
         if values["threads"] < 1:
             raise CliError("--threads must be at least 1")
         results, plot_rows = mode.run(values)
-        if mode.formula is not None:
-            results = _tag_check(results, set(mode.formula.split()))
         if isinstance(results, _Sweep):
             _emit_csv(results.header, results.rows, values.get("out"))
             passed = results.passed

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import dawsn, erf, log_ndtr
 
-from .bounds import _LOG_FLOAT_MAX
+from .bounds import exp_or_inf
 from .geometry import DomainSpec
 from .hull import PointSet, within_distance
 from .rng import Z95, mc_mean
@@ -94,7 +94,7 @@ def profile_integral(alpha: float, delta: float, eta: float) -> float:
             - 0.5 * math.log(beta)
             + math.log(float(dawsn(b) + math.exp(a * a - b * b) * dawsn(a)))
         )
-    return math.exp(log_i) if log_i < _LOG_FLOAT_MAX else math.inf
+    return exp_or_inf(log_i)
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ class VolumeEstimate:
         """The bound itself; ``inf`` where it exceeds the float range."""
         if self.bound_log is None:
             return None
-        return math.exp(self.bound_log) if self.bound_log < _LOG_FLOAT_MAX else math.inf
+        return exp_or_inf(self.bound_log)
 
     @property
     def passed(self) -> bool:

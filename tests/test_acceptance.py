@@ -137,10 +137,12 @@ def test_criterion_07_fooling_c1_suite():
         )
         ok = ok and res["pass"]
         details.append(
-            f"d={d}: lip {res['max_lipschitz_quotient']:.3f}<={res['lipschitz_bound']:.3f}, "
-            f"grad {res['max_gradient_quotient']:.0f}<={res['gradient_bound']:.0f}, "
+            f"d={d}: lip {res['max_lipschitz_quotient']['value']:.3f}"
+            f"<={res['lipschitz_bound']['value']:.3f}, "
+            f"grad {res['max_gradient_quotient']['value']:.0f}"
+            f"<={res['gradient_bound']['value']:.0f}, "
             f"zeros {res['zeros_exact']}/1000, ones {res['ones_exact']}/1000, "
-            f"fd-rel {res['grad_fd_max_rel_err']:.1e}"
+            f"fd-rel {res['grad_fd_max_rel_err']['value']:.1e}"
         )
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
@@ -214,7 +216,7 @@ def test_criterion_10_one_point_bounds():
         res = one_point_check_c0(d, 1.0 / math.sqrt(d), samples=20_000, seed=40 + d)
         ok = ok and res["pass"]
         details.append(
-            f"d={d}: |ref - 0| = {res['error']:.3f} <= 0.5 + 3 sigma"
+            f"d={d}: |ref - 0| = {res['error']['value']:.3f} <= 0.5 + 3 sigma"
         )
     report(10, ok, "; ".join(details))
 

@@ -166,28 +166,49 @@ def test_smooth_check_small(tmp_path):
     assert payload["results"]["zero_pass"] is True
 
 
-@pytest.mark.parametrize("argv,formula,sampled", [
+def _figure_tags(results: dict) -> dict:
+    """The provenance of each top-level figure of ``results``, a list's
+    figures sharing one; fails on a float that is not tagged."""
+    tags = {}
+    for key, value in results.items():
+        items = value if isinstance(value, list) else [value]
+        assert not any(isinstance(v, float) or v in ("inf", "-inf", "nan") for v in items), key
+        pairs = [v for v in items if isinstance(v, dict) and set(v) == {"value", "provenance"}]
+        if pairs:
+            assert len(pairs) == len(items), key
+            (tags[key],) = {pair["provenance"] for pair in pairs}
+    return tags
+
+
+_TAYLOR_TAGS = dict.fromkeys(["value", "exact", "error", "error_bound", "fd_slack"], "formula")
+
+
+@pytest.mark.parametrize("argv,tags", [
     (["fool-check", "--variant", "c1", "--d", "3", "--n", "4", "--delta", "0.02",
       "--pairs", "100", "--samples", "50", "--seed", "2"],
-     ["lipschitz_bound", "gradient_bound"],
-     ["max_lipschitz_quotient", "max_gradient_quotient", "grad_fd_max_rel_err"]),
+     {"max_lipschitz_quotient": "monte_carlo", "lipschitz_bound": "formula",
+      "max_gradient_quotient": "monte_carlo", "gradient_bound": "formula",
+      "grad_fd_max_rel_err": "monte_carlo"}),
     (["fool-check", "--variant", "c0", "--d", "3", "--n", "4", "--pairs", "100",
       "--seed", "2"],
-     ["lipschitz_bound"], ["max_lipschitz_quotient"]),
+     {"max_lipschitz_quotient": "monte_carlo", "lipschitz_bound": "formula"}),
     (["smooth-check", "--d", "3", "--n", "4", "--delta", "0.05", "--k", "2",
       "--samples", "1000", "--seed", "6"],
-     ["lipschitz_bound", "affine_target"],
-     ["affine_mean", "constant_hook", "max_mean_quotient", "zero_means"]),
+     {"constant_hook": "monte_carlo", "affine_mean": "monte_carlo", "affine_target": "formula",
+      "zero_means": "monte_carlo", "one_means": "monte_carlo",
+      "max_mean_quotient": "monte_carlo", "mean_quotient_allowance": "monte_carlo",
+      "lipschitz_bound": "formula"}),
+    (["quad", "--algorithm", "taylor", "--d", "4", "--j", "2", "--seed", "3"], _TAYLOR_TAGS),
+    (["quad", "--algorithm", "taylor", "--d", "4", "--j", "4", "--fd", "--seed", "1"],
+     _TAYLOR_TAGS),
+    (["quad", "--algorithm", "one-point", "--d", "8", "--samples", "5000", "--seed", "4"],
+     {"one_point_value": "formula", "error_bound": "formula", "reference_mean": "monte_carlo",
+      "reference_half_width": "monte_carlo", "error": "monte_carlo"}),
 ])
-def test_check_provenance_tags(tmp_path, argv, formula, sampled):
+def test_check_provenance_tags(tmp_path, argv, tags):
     code, payload = run_json(argv, tmp_path)
     assert code == 0
-    results = payload["results"]
-    for key in formula:
-        assert results[key]["provenance"] == "formula", key
-    for key in sampled:
-        tagged = results[key] if isinstance(results[key], list) else [results[key]]
-        assert all(t["provenance"] == "monte_carlo" for t in tagged), key
+    assert _figure_tags(payload["results"]) == tags
 
 
 @pytest.mark.parametrize("argv,count", [
@@ -360,6 +381,27 @@ def test_bounds_help_lists_every_bound(capsys):
         assert which in out
 
 
+@pytest.mark.parametrize("argv,flags", [
+    (["--d", "7", "--d-list", "10,20", "--eps", "0.5"], "--d and --d-list"),
+    (["--d", "7", "--eps", "0.5", "--eps-list", "0.1,0.2"], "--eps and --eps-list"),
+])
+def test_bounds_refuses_a_value_next_to_its_list(capsys, argv, flags):
+    code, err = _one_line_error(capsys, ["bounds", "--which", "gradient-cube-lower", *argv])
+    assert code == 1
+    assert err == f"curselab: error: {flags} cannot both be given\n"
+
+
+def test_bounds_refuses_a_config_value_next_to_its_list(tmp_path, capsys):
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("d=7\n")
+    code, err = _one_line_error(
+        capsys, ["bounds", "--which", "gradient-cube-lower", "--config", str(cfg),
+                 "--d-list", "10,20", "--eps", "0.5"],
+    )
+    assert code == 1
+    assert err == "curselab: error: --d and --d-list cannot both be given\n"
+
+
 def test_bounds_refuses_an_empty_list(capsys):
     code, err = _one_line_error(
         capsys, ["bounds", "--which", "gradient-cube-lower", "--d", "5", "--d-list", ",",
@@ -392,6 +434,29 @@ def test_bounds_taylor_upper_beyond_float_range_reports_inf(tmp_path):
     assert results["log_value"]["value"] == pytest.approx(expected, rel=1e-12)
     assert results["value"]["value"] == "inf"
     assert results["extras"]["value"]["value"] == "inf"
+
+
+# ln bound = 9 ln 0.5 - ln 8! + ln 1e303 + 4.5 ln d, about 701.6 at d = 100: within
+# the float range, so the bound is a number.
+_TAYLOR_NEAR_FLOAT_MAX = ["bounds", "--which", "taylor-upper", "--j", "8", "--lip", "1e303",
+                          "--big-r", "0.5"]
+
+
+def test_bounds_value_is_finite_up_to_the_float_range(tmp_path):
+    code, payload = run_json(_TAYLOR_NEAR_FLOAT_MAX + ["--d", "100"], tmp_path)
+    assert code == 0
+    results = payload["results"]
+    assert results["log_value"]["value"] > 700.0
+    assert results["value"]["value"] == math.exp(results["log_value"]["value"])
+    assert results["value"] == results["extras"]["value"]
+
+
+def test_bounds_sweep_value_is_finite_up_to_the_float_range(tmp_path):
+    code, text = run_cli(_TAYLOR_NEAR_FLOAT_MAX + ["--d-list", "100,101"], tmp_path, "sweep.csv")
+    assert code == 0
+    rows = [line.split(",") for line in text.decode().splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(float(row[3]) == math.exp(float(row[2])) for row in rows)
 
 
 def test_classify_finite_profile(tmp_path):
@@ -686,4 +751,9 @@ def test_readme_lists_its_examples():
 
 @pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: " ".join(argv[:3]))
 def test_readme_example_runs(tmp_path, argv):
-    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    if text.startswith("{"):  # a sweep writes CSV
+        tags = _figure_tags(json.loads(text)["results"])
+        assert set(tags.values()) <= {"formula", "monte_carlo", "solver"}
