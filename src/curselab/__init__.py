@@ -19,7 +19,6 @@ Library layout:
 
 from .geometry import (
     DomainSpec,
-    NormalizedRadius,
     SMALL_RADIUS_THRESHOLD,
     lp_normalized_radius,
     lp_unit_ball_volume,
@@ -27,18 +26,12 @@ from .geometry import (
     solve_p_star,
 )
 from .hull import (
-    BatchProjection,
-    HullProjection,
     PointSet,
     elekes_cover_check,
     project_batch,
     project_onto_hull,
-    within_distance,
 )
 from .volume import (
-    GammaConstant,
-    VolumeEstimate,
-    ball_tail_mass,
     cube_hull_bound,
     gamma_constant,
     gamma_tilde_cube,
@@ -47,15 +40,10 @@ from .volume import (
     small_radius_hull_bound,
 )
 from .fooling import (
-    AlphaSequence,
-    FoolingFunction,
-    FoolingValues,
     ProfileP,
     fooling_c0,
     fooling_c1,
-    fooling_c1_eval,
     fooling_cinf,
-    fooling_eval_batch,
     fooling_smoothed,
     make_alpha_sequence,
     profile_eval,
@@ -63,28 +51,20 @@ from .fooling import (
 )
 from .quadrature import (
     Integrand,
-    QuadratureResult,
-    cube_moment,
-    fd_partial,
     make_sine_integrand,
     quad_one_point,
     quad_taylor,
     reference_integral,
-    sine_integral_cube,
 )
 from .bounds import (
-    BoundReport,
     SmoothnessProfile,
     TailRule,
-    Verdict,
     classify,
-    lb_higher_smoothness,
     lb_lipschitz,
     lb_lipschitz_gradient_cube,
     non_uniform_weak_witness,
     quasi_poly_cost_bound,
     ub_one_point_c0,
-    ub_one_point_c1,
     ub_taylor,
     unit_derivative_cost_bound,
 )

@@ -352,7 +352,8 @@ def quasi_poly_cost_bound(eps: float, d: int, c: float, a: float) -> BoundReport
     rule = "quasi_poly_cost"
     if a <= 1.0 or c <= 0.0 or not 0.0 < eps < 1.0:
         return _failed(rule, "upper", "requires a > 1, c > 0, eps in (0,1)")
-    k_eps = max(0, math.ceil(math.log(c / eps) / math.log(a)))
+    # ln c - ln eps stays finite where c / eps would overflow.
+    k_eps = max(0, math.ceil((math.log(c) - math.log(eps)) / math.log(a)))
     log_n = k_eps * (1.0 + math.log(d)) if k_eps > 0 else 0.0
     envelope = (
         (1.0 + math.log(c))

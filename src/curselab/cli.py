@@ -315,6 +315,8 @@ def _run_bounds(v, build):
                      for (d, eps), r in reports]
         return _Sweep(header, rows, all(r.preconditions_met for _, r in reports)), plot_rows
     (d, eps), report = reports[0]
+    if not report.preconditions_met:
+        raise CliError(report.note)
     return {
         "which": v["which"],
         **tagged("formula", d=d, eps=eps, log_value=report.log_value,

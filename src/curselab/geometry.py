@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
+from .bounds import exp_or_inf
+
 __all__ = [
     "DomainSpec",
     "NormalizedRadius",
@@ -29,8 +31,6 @@ __all__ = [
     "radius_limit_ratio",
     "solve_p_star",
     "p_star_lhs",
-    "ball_volume_bounds_log",
-    "euclidean_ball_volume_log",
     "SMALL_RADIUS_THRESHOLD",
 ]
 
@@ -62,8 +62,11 @@ def lp_unit_ball_volume_log(p: float, d: int) -> float:
 
 
 def lp_unit_ball_volume(p: float, d: int) -> float:
-    """Volume of the unit lp ball; 2^d Gamma(1+1/p)^d / Gamma(1+d/p)."""
-    return math.exp(lp_unit_ball_volume_log(p, d))
+    """Volume of the unit lp ball; 2^d Gamma(1+1/p)^d / Gamma(1+d/p).
+
+    ``inf`` where it exceeds the float range, as it does at p = inf, d = 2000.
+    """
+    return exp_or_inf(lp_unit_ball_volume_log(p, d))
 
 
 @dataclass(frozen=True)
@@ -150,34 +153,6 @@ def solve_p_star(tol: float) -> float:
     return root
 
 
-def euclidean_ball_volume_log(d: int, radius: float) -> float:
-    """ln of the volume of the d-dimensional Euclidean ball of given radius."""
-    d = _check_d(d)
-    if radius < 0.0:
-        raise ValueError("radius must be non-negative")
-    if radius == 0.0:
-        return -math.inf
-    return 0.5 * d * math.log(math.pi) + d * math.log(radius) - gammaln(1.0 + d / 2.0)
-
-
-def ball_volume_bounds_log(d: int, delta: float) -> tuple[float, float, float]:
-    """ln of (exact, crude, refined) for the ball of radius delta*sqrt(d).
-
-    ``crude = (delta sqrt(2 pi e))^d`` and
-    ``refined = (3 delta sqrt(2 e pi))^d / sqrt(pi d)``; the exact volume
-    is strictly below both bounds for every admissible input.
-    """
-    d = _check_d(d)
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    exact = euclidean_ball_volume_log(d, delta * math.sqrt(d))
-    crude = d * math.log(delta * math.sqrt(2.0 * math.pi * math.e))
-    refined = d * math.log(3.0 * delta * math.sqrt(2.0 * math.e * math.pi)) - 0.5 * math.log(
-        math.pi * d
-    )
-    return exact, crude, refined
-
-
 @dataclass(frozen=True)
 class DomainSpec:
     """A volume-one integration domain: open unit cube or rescaled lp ball.
@@ -221,12 +196,6 @@ class DomainSpec:
     @property
     def radius_ratio(self) -> float:
         return self.radius / math.sqrt(self.d)
-
-    @property
-    def diameter(self) -> float:
-        if self.kind == "cube":
-            return math.sqrt(self.d)
-        return 2.0 * self.radius
 
     def lp_scale(self) -> float:
         """Scaling factor of the volume-one ball in its own lp norm."""

@@ -5,7 +5,7 @@ method of Wolfe, run on the sample points shifted by each query, in
 lockstep over blocks of queries.  Each round does one batched KKT solve
 over the queries' active sets; the major step then either adds a
 query's best vertex or retires the query, once the duality gap
-``||z||^2 - min_j <z, q_j> <= tol * (1 + ||z||)`` certifies its nearest
+``||z||^2 - min_j <z, q_j> <= _TOL * (1 + ||z||)`` certifies its nearest
 point.  Every query gets its nearest point, distance, dense convex
 weights, active set, cycle count, final gap and a stall flag.
 :func:`project_onto_hull` is a batch of one; :func:`slide_toward` turns
@@ -68,7 +68,6 @@ class PointSet:
         self.points = pts
         self.points.setflags(write=False)
         self.n, self.d = pts.shape
-        self.domain = domain
         if domain is not None:
             if domain.d != self.d:
                 raise ValueError("point dimension does not match domain")
@@ -149,8 +148,11 @@ _BLOCK_ELEMENTS = 1 << 20
 #: queries it could not decide to the exact solver.
 _REFINE_ITERS = 64
 
-#: Default duality-gap tolerance of :func:`project_batch`.
+#: Duality-gap tolerance of :func:`project_batch`.
 _TOL = 1e-10
+
+#: Major and minor cycles a query may take, per entry of the n x d points.
+_CYCLES_PER_ENTRY = 50
 
 
 def _affine_minimizer(gram: np.ndarray) -> np.ndarray:
@@ -241,7 +243,7 @@ def _minor_cycles(pts, queries, weights, active, iterations, rows, max_iter) -> 
         weights[rows] = w / w.sum(axis=1, keepdims=True)
 
 
-def _wolfe_block(ps: PointSet, queries: np.ndarray, tol: float, max_iter: int):
+def _wolfe_block(ps: PointSet, queries: np.ndarray, max_iter: int):
     """Wolfe's method in lockstep over one block of queries."""
     pts = ps.points
     b = queries.shape[0]
@@ -257,14 +259,14 @@ def _wolfe_block(ps: PointSet, queries: np.ndarray, tol: float, max_iter: int):
     rows = every
     while rows.size:
         # Major cycle: the vertex minimizing <z, q_j> certifies optimality
-        # (gap <= tol (1 + ||z||)) or joins the active set.
+        # (gap <= _TOL (1 + ||z||)) or joins the active set.
         x = queries[rows]
         z = weights[rows] @ pts - x
         zz = np.einsum("ij,ij->i", z, z)
         t = z @ pts.T - np.einsum("ij,ij->i", x, z)[:, None]
         j = np.argmin(t, axis=1)
         gap[rows] = zz - t[np.arange(rows.size), j]
-        converged = gap[rows] <= tol * (1.0 + np.sqrt(np.maximum(zz, 0.0)))
+        converged = gap[rows] <= _TOL * (1.0 + np.sqrt(np.maximum(zz, 0.0)))
         # The best improving vertex is already active: numerical stall,
         # the affine solve cannot improve further.
         stuck = ~converged & active[rows, j]
@@ -286,31 +288,23 @@ def _wolfe_block(ps: PointSet, queries: np.ndarray, tol: float, max_iter: int):
     return distance, weights, active, iterations, gap, stalled
 
 
-def project_batch(
-    ps: PointSet,
-    queries: np.ndarray,
-    tol: float = _TOL,
-    max_iter: int | None = None,
-) -> BatchProjection:
+def project_batch(ps: PointSet, queries: np.ndarray) -> BatchProjection:
     """Project every row of ``queries`` onto the hull of ``ps``.
 
     Wolfe's minimum-norm-point method on the shifted points
     ``q_i = p_i - x``, run in lockstep over blocks of queries: each round
     does one batched KKT solve over the active sets, then a major step
     either adds each query's best vertex or retires the query once its
-    duality gap is below ``tol * (1 + distance)``.  Raises
-    :class:`HullIterationError` when a query exceeds ``max_iter``
-    major/minor cycles (default ``50 * n * d``).
+    duality gap is below ``_TOL * (1 + distance)``.  Raises
+    :class:`HullIterationError` when a query exceeds
+    ``_CYCLES_PER_ENTRY * n * d`` major/minor cycles.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if queries.ndim != 2 or queries.shape[1] != ps.d:
         raise ValueError(
             f"queries have dimension {queries.shape[-1]}, expected {ps.d}"
         )
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter is None:
-        max_iter = 50 * ps.n * ps.d
+    max_iter = _CYCLES_PER_ENTRY * ps.n * ps.d
     m = queries.shape[0]
     out = (
         np.empty(m),
@@ -322,7 +316,7 @@ def project_batch(
     )
     block = max(1, min(_BLOCK, _BLOCK_ELEMENTS // (ps.n * ps.d)))
     for lo in range(0, m, block):
-        parts = _wolfe_block(ps, queries[lo:lo + block], tol, max_iter)
+        parts = _wolfe_block(ps, queries[lo:lo + block], max_iter)
         for dest, part in zip(out, parts):
             dest[lo:lo + block] = part
     return BatchProjection(ps.points, *out)
@@ -363,12 +357,12 @@ def _solver_slack(r: float) -> float:
 
     The distance W that :func:`project_batch` reports is that of a hull
     point, so W >= D, the true distance.  A query it retires by its
-    stopping rule (at the default ``tol``) has a duality gap at most
-    ``tol * (1 + W)``, and that gap is at least ``W * (W - D)``; so
-    ``D <= r - tol * (1 + r) / r`` gives ``W <= r``.  The slack is twice
-    that: the second half covers rounding in the bracket's bounds (the
-    nearest-vertex bound loses about 1e-16 times the squared coordinate
-    norms over r, far below ``tol / r`` on this package's domains).  A
+    stopping rule has a duality gap at most ``_TOL * (1 + W)``, and that
+    gap is at least ``W * (W - D)``; so ``D <= r - _TOL * (1 + r) / r``
+    gives ``W <= r``.  The slack is twice that: the second half covers
+    rounding in the bracket's bounds (the nearest-vertex bound loses
+    about 1e-16 times the squared coordinate norms over r, far below
+    ``_TOL / r`` on this package's domains).  A
     query whose solver stalled is not covered.  At ``r = 0`` the slack
     is zero: a query certified within 0 is a vertex, where the solver
     reports 0, and one certified beyond 0 has D > 0, so W > 0.

@@ -110,13 +110,11 @@ def fd_partial(
     beta: tuple[int, ...],
     h: float,
     dom: DomainSpec | None = None,
-    cache: dict | None = None,
 ) -> float:
     """Estimate D^beta f(x) by tensor-product central differences.
 
     Each coordinate i applies the beta_i-th central difference with
-    step h, for prod(beta_i + 1) stencil nodes; nodes shared with other
-    multi-indices are reused through ``cache``.  With ``dom`` given,
+    step h, for prod(beta_i + 1) stencil nodes.  With ``dom`` given,
     stencil nodes outside the domain raise
     :class:`StencilOutsideDomainError` naming the offending coordinate.
     It is the Taylor rule's stencil build for a single multi-index.
@@ -129,7 +127,7 @@ def fd_partial(
         raise ValueError("multi-index entries must be non-negative")
     if sum(beta) > 8:
         raise ValueError("|beta| above the practical cap of 8")
-    return _fd_derivatives(f, x, np.array([beta]), h, dom, {} if cache is None else cache)[0]
+    return _fd_derivatives(f, x, np.array([beta]), h, dom, {})[0]
 
 
 #: Entries per array in one block of stencil nodes (1 MiB of float64).

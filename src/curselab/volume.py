@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
 from scipy.special import dawsn, erf, log_ndtr
 
 from .bounds import exp_or_inf
@@ -37,7 +36,6 @@ __all__ = [
     "small_radius_hull_bound",
     "cube_hull_bound",
     "mc_hull_neighborhood_volume",
-    "ball_tail_mass",
     "binomial_half_width",
 ]
 
@@ -238,17 +236,6 @@ class VolumeEstimate:
         return excess <= 0.0 or math.log(excess) <= self.bound_log
 
 
-def _hit_fraction(
-    draw, seed: int, n_samples: int, threads: int,
-    bound_log: float | None = None, source: str = "none",
-) -> VolumeEstimate:
-    # Boolean draws sum exactly, and the mean is within n * 2^-52 of
-    # hits / n, so rounding recovers the integer count.
-    hits = round(mc_mean(draw, seed, n_samples, threads).mean * n_samples)
-    half = binomial_half_width(hits, n_samples)
-    return VolumeEstimate(hits / n_samples, half, n_samples, seed, bound_log, source)
-
-
 def mc_hull_neighborhood_volume(
     ps: PointSet,
     dom: DomainSpec,
@@ -279,30 +266,13 @@ def mc_hull_neighborhood_volume(
     else:
         bound_log, source = None, "none"
     r = delta * math.sqrt(dom.d)
-    return _hit_fraction(
-        lambda rng, size: within_distance(ps, dom.sample(rng, size), r),
-        seed, n_samples, threads, bound_log, source,
-    )
-
-
-def ball_tail_mass(
-    dom: DomainSpec,
-    x_star: np.ndarray,
-    big_r: float,
-    n_samples: int,
-    seed: int,
-) -> VolumeEstimate:
-    """Mass of the domain at Euclidean distance >= big_r * sqrt(d) from x_star."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    x_star = np.asarray(x_star, dtype=float).ravel()
-    if x_star.shape[0] != dom.d:
-        raise ValueError("x_star dimension mismatch")
-    if not bool(dom.contains(x_star[None, :])[0]):
-        raise ValueError("x_star must lie in the domain")
-    threshold = big_r * math.sqrt(dom.d)
 
     def draw(rng, size):
-        return np.linalg.norm(dom.sample(rng, size) - x_star, axis=1) >= threshold
+        return within_distance(ps, dom.sample(rng, size), r)
 
-    return _hit_fraction(draw, seed, n_samples, 1)
+    # Boolean draws sum exactly, and the mean is within n * 2^-52 of
+    # hits / n, so rounding recovers the integer count.
+    hits = round(mc_mean(draw, seed, n_samples, threads).mean * n_samples)
+    half = binomial_half_width(hits, n_samples)
+    return VolumeEstimate(hits / n_samples, half, n_samples, seed, bound_log, source)
+

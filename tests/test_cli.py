@@ -459,6 +459,52 @@ def test_bounds_sweep_value_is_finite_up_to_the_float_range(tmp_path):
     assert all(float(row[3]) == math.exp(float(row[2])) for row in rows)
 
 
+def test_constants_ball_volume_beyond_float_range_reports_inf(tmp_path):
+    # 2^2000 exceeds the float range; its log does not.
+    code, payload = run_json(["constants", "--ball-volume", "--p", "inf", "--d", "2000"],
+                             tmp_path)
+    assert code == 0
+    results = payload["results"]
+    assert results["volume"]["value"] == "inf"
+    assert results["log_volume"]["value"] == pytest.approx(2000 * math.log(2.0), rel=1e-15)
+
+
+def test_bounds_qpt_cost_with_c_over_eps_beyond_float_range(tmp_path):
+    # c / eps = 1e600 overflows; k_eps = ceil((ln c - ln eps) / ln a) = 1994.
+    code, payload = run_json(
+        ["bounds", "--which", "qpt-cost", "--d", "7", "--eps", "1e-300", "--c", "1e300",
+         "--a", "2"],
+        tmp_path,
+    )
+    assert code == 0
+    results = payload["results"]
+    assert results["extras"]["k_eps"] == 1994
+    assert results["log_value"]["value"] == pytest.approx(1994 * (1.0 + math.log(7.0)),
+                                                          rel=1e-15)
+
+
+@pytest.mark.parametrize("argv,note", [
+    (["--which", "taylor-upper", "--d", "10", "--j", "-1"], "requires j >= 0"),
+    (["--which", "lipschitz-lower", "--d", "10", "--eps", "2"], "requires eps in (0, 1/a)"),
+    (["--which", "uwt-witness", "--d", "10", "--m", "2", "--alpha", "0.9"],
+     "alpha=0.9 exceeds 1/m=0.5"),
+])
+def test_bounds_outside_its_domain_is_invalid(tmp_path, capsys, argv, note):
+    code, err = _one_line_error(capsys, ["bounds", *argv, "--out", str(tmp_path / "o.json")])
+    assert code == 1 and note in err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_bounds_sweep_reports_unmet_preconditions_per_row(tmp_path):
+    code, text = run_cli(
+        ["bounds", "--which", "lipschitz-lower", "--d-list", "10", "--eps-list", "0.5,2"],
+        tmp_path, "sweep.csv",
+    )
+    assert code == 2
+    rows = [line.split(",") for line in text.decode().splitlines()[1:]]
+    assert [row[4] for row in rows] == ["True", "False"]
+
+
 def test_classify_finite_profile(tmp_path):
     code, payload = run_json(
         ["classify", "--k", "2", "--family", "cube",

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from curselab import fooling, geometry, hull, quadrature, volume
+from curselab.rng import mc_mean
 
 
 def _constant_integrand(c):
@@ -286,17 +287,18 @@ def test_taylor_fd_bit_identical_to_scalar_loop():
 
 @pytest.mark.parametrize("beta", [(0, 0, 0), (1, 0, 2), (3, 1, 0), (2, 2, 2), (0, 5, 3)])
 def test_fd_partial_bit_identical_to_scalar_stencil(beta):
-    # Odd orders and a point off the cube center, with a cache shared
-    # across calls as the Taylor rule shares it.
+    # Odd orders and a point off the cube center; then the stencil build
+    # with a cache shared across multi-indices, as the Taylor rule shares it.
     sine, _ = _sine_case(3, seed=5)
     f = quadrature.Integrand(eval=sine.eval)
     dom = geometry.DomainSpec.cube(3)
     x = np.array([0.31, 0.5, 0.77])
+    got = quadrature.fd_partial(f, x, beta, 0.02, dom=dom)
+    assert got == _scalar_fd_partial(f, x, beta, 0.02, dom, {})
     cache, scalar_cache = {}, {}
-    quadrature.fd_partial(f, x, (2, 0, 0), 0.02, dom=dom, cache=cache)
+    shared = quadrature._fd_derivatives(f, x, np.array([(2, 0, 0), beta]), 0.02, dom, cache)
     _scalar_fd_partial(f, x, (2, 0, 0), 0.02, dom, scalar_cache)
-    got = quadrature.fd_partial(f, x, beta, 0.02, dom=dom, cache=cache)
-    assert got == _scalar_fd_partial(f, x, beta, 0.02, dom, scalar_cache)
+    assert shared[1] == _scalar_fd_partial(f, x, beta, 0.02, dom, scalar_cache)
     assert len(cache) == len(scalar_cache)
 
 
@@ -428,7 +430,7 @@ def test_one_point_error_within_gradient_class_bound():
         rule = quadrature.quad_one_point(integrand, dom)
         ref, half = quadrature.reference_integral(integrand, dom, 20_000, seed=d)
         lip_grad = f.certificate.value(1, d)
-        bound = lip_grad * dom.diameter**2
+        bound = lip_grad * d  # L1 diam^2, the cube's diameter being sqrt(d)
         assert abs(ref - rule.value) <= bound + 3.0 * half
 
 
@@ -445,7 +447,11 @@ def test_one_point_error_with_tail_term_on_ball():
     assert rule.value == 0.0
     ref, half = quadrature.reference_integral(integrand, dom, 20_000, seed=5)
     big_r = 0.8 * dom.radius_ratio
-    tail = volume.ball_tail_mass(dom, np.zeros(d), big_r, 20_000, seed=6)
+    # Mass of the domain at distance >= big_r * sqrt(d) from the rule's node.
+    tail = mc_mean(
+        lambda gen, size: np.linalg.norm(dom.sample(gen, size), axis=1) >= big_r * math.sqrt(d),
+        6, 20_000, threads=1,
+    )
     from curselab.bounds import ub_one_point_c0
 
     bound = ub_one_point_c0(lip, d, big_r, tail.mean).extras["value"]
