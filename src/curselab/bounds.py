@@ -18,7 +18,9 @@ actually test; finite data tables could not certify any of them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from scipy.special import gammaln
 
@@ -342,6 +344,28 @@ def ub_taylor(j: int, lip_j: float, d: int, big_r: float) -> BoundReport:
     )
 
 
+def _order_for(c: float, eps: float, a: float) -> int:
+    """ceil(log_a(c / eps)), at least 0, for a > 1 and c, eps > 0.
+
+    The float quotient of logs (ln c - ln eps stays finite where c / eps
+    would overflow) can land a few ulps above an integer k where c / eps
+    is a^k: c=0.5, eps=2^-25, a=2 gives 24.000000000000004.  Such a k is
+    kept only if the exact rational a^k >= c / eps confirms it, so the
+    order never comes out below the true ceiling.  Above k = 4096 that
+    power is not formed and the ceiling stands.
+    """
+    log_c, log_eps, log_a = math.log(c), math.log(eps), math.log(a)
+    quotient = (log_c - log_eps) / log_a
+    k = math.floor(quotient)
+    # The three logs, the difference and the quotient round once each;
+    # 8 ulps of (|ln c| + |ln eps|) / ln a bound their sum with room to spare.
+    ulps = 8.0 * sys.float_info.epsilon * (abs(log_c) + abs(log_eps)) / log_a
+    if (0 <= k <= 4096 and quotient - k <= ulps
+            and Fraction(a) ** k >= Fraction(c) / Fraction(eps)):
+        return k
+    return max(0, math.ceil(quotient))
+
+
 def quasi_poly_cost_bound(eps: float, d: int, c: float, a: float) -> BoundReport:
     """Cost of the Taylor rule at order k_eps = ceil(log_a(c/eps)).
 
@@ -352,8 +376,7 @@ def quasi_poly_cost_bound(eps: float, d: int, c: float, a: float) -> BoundReport
     rule = "quasi_poly_cost"
     if a <= 1.0 or c <= 0.0 or not 0.0 < eps < 1.0:
         return _failed(rule, "upper", "requires a > 1, c > 0, eps in (0,1)")
-    # ln c - ln eps stays finite where c / eps would overflow.
-    k_eps = max(0, math.ceil((math.log(c) - math.log(eps)) / math.log(a)))
+    k_eps = _order_for(c, eps, a)
     log_n = k_eps * (1.0 + math.log(d)) if k_eps > 0 else 0.0
     envelope = (
         (1.0 + math.log(c))

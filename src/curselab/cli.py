@@ -266,7 +266,7 @@ def _run_volume(v):
     else:
         ps = checks.random_point_set(dom, v["n"], v["seed"])
     est = vol.mc_hull_neighborhood_volume(
-        ps, dom, v["delta"], v["samples"], v["seed"], threads=v["threads"]
+        ps, dom, v["delta"], v["samples"], v["seed"], threads=v.get("threads")
     )
     results = {
         "domain": v["domain"],
@@ -432,7 +432,7 @@ _COMMON = {
     "out": {"help": "output path ('-' = stdout)"},
     "plot_data": {"help": "whitespace-delimited plot file"},
     "config": {"help": "flat key=value config file"},
-    "threads": _int(1),
+    "threads": _int(),
 }
 
 
@@ -670,7 +670,7 @@ def main(argv: list[str] | None = None) -> int:
         defaults = {dest: spec["default"] for dest, spec in flags.items() if "default" in spec}
         values = {**defaults, **config, **given}
         mode = _mode(name, command, values, set(config) | set(given))
-        if values["threads"] < 1:
+        if "threads" in values and values["threads"] < 1:
             raise CliError("--threads must be at least 1")
         results, plot_rows = mode.run(values)
         if isinstance(results, _Sweep):

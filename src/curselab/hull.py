@@ -16,12 +16,15 @@ Many callers only need to know on which side of a radius a query's
 hull distance lies.  One verdict, :func:`bracket`, answers that for
 the whole library: cheap certified bounds (nearest-vertex upper bound,
 support-function lower bound, a vectorized Gilbert refinement) settle
-most queries, and the solver projects the rest in the same call.  Both
-cuts are widened by the solver's own slack, so a settled query gets the
-verdict the solver would give it.  :func:`within_distance` (the Monte
-Carlo volume estimators and the far-point sampler of the checks) asks
-it at one radius; the c1 fooling values ask it at ``r`` and ``2r``,
-since they are exactly 0 or 1 outside that ramp.
+most queries, and the solver projects the rest in the same call.  The
+first round's bounds come from the products ``queries @ points.T`` that
+find each query's nearest vertex and from the point set's Gram matrix,
+so only the queries it leaves open are gathered.  Both cuts are widened
+by the solver's own slack, so a settled query gets the verdict the
+solver would give it.  :func:`within_distance` (the Monte Carlo volume
+estimators and the far-point sampler of the checks) asks it at one
+radius; the c1 fooling values ask it at ``r`` and ``2r``, since they
+are exactly 0 or 1 outside that ramp.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class HullIterationError(RuntimeError):
 
 
 class PointSet:
-    """Immutable set of n points in R^d with their squared norms.
+    """Immutable set of n points in R^d with their squared norms and Gram matrix.
 
     Exact duplicate rows are removed on construction (bitwise equality
     only); affinely dependent points are fine.  If ``domain`` is given,
@@ -76,6 +79,7 @@ class PointSet:
                 bad = int(np.argmin(inside))
                 raise ValueError(f"point {bad} lies outside the domain")
         self._norms2 = np.einsum("ij,ij->i", pts, pts)
+        self._gram = pts @ pts.T
 
     @staticmethod
     def from_csv(path, domain=None) -> "PointSet":
@@ -360,12 +364,18 @@ def _solver_slack(r: float) -> float:
     stopping rule has a duality gap at most ``_TOL * (1 + W)``, and that
     gap is at least ``W * (W - D)``; so ``D <= r - _TOL * (1 + r) / r``
     gives ``W <= r``.  The slack is twice that: the second half covers
-    rounding in the bracket's bounds (the nearest-vertex bound loses
-    about 1e-16 times the squared coordinate norms over r, far below
-    ``_TOL / r`` on this package's domains).  A
-    query whose solver stalled is not covered.  At ``r = 0`` the slack
-    is zero: a query certified within 0 is a vertex, where the solver
-    reports 0, and one certified beyond 0 has D > 0, so W > 0.
+    rounding in the bracket's bounds.  The nearest-vertex bound and the
+    first round's lower bound are both formed from expanded products
+    (``||x||^2 + ||p||^2 - 2 <x, p>`` and, with the Gram matrix, its kin
+    for ``<x - p_b, x - p_k>``), so each loses about
+    ``1e-16 * (||x||^2 + ||p||^2) / r``, far below ``_TOL / r`` on this
+    package's domains; the lower bound is capped at the nearest-vertex
+    distance, so it certifies a row beyond r only where that distance,
+    the divisor of its rounding, exceeds r as well.  A query whose
+    solver stalled is not covered.  At ``r = 0`` the slack is zero, and
+    rounding is not covered either: a query 1e-12 from a vertex can get
+    a nearest-vertex distance of 0, so it is certified within 0 where
+    the solver reports its distance.
     """
     return 2.0 * _TOL * (1.0 + r) / r if r > 0.0 else 0.0
 
@@ -384,8 +394,10 @@ def bracket(
     The nearest-vertex distance is an upper bound; the support function
     in the direction of the current residual is a lower bound; a
     Gilbert-type line search tightens both for up to ``_REFINE_ITERS``
-    rounds.  A row stops refining once neither verdict can be reached
-    (lower bound above the inner cut, upper bound at most the outer).
+    rounds.  The first round, from the nearest vertex, reads both bounds
+    off the products that found that vertex.  A row stops refining once
+    neither verdict can be reached (lower bound above the inner cut,
+    upper bound at most the outer).
     """
     slack = _solver_slack(r_in)
     r_in, r_out = r_in - slack, r_out + slack
@@ -394,35 +406,47 @@ def bracket(
     inside = np.zeros(m, dtype=bool)
     outside = np.zeros(m, dtype=bool)
 
-    # Nearest vertex: d2[i, k] = ||x_i - p_k||^2.
+    # Nearest vertex b: d2[i, k] = ||x_i - p_k||^2.  Round one reads off
+    # these products: with z = x - p_b, ||z||^2 = d2[:, b], <z, x> =
+    # q2 - cross[:, b] and <z, p_k> = cross[:, k] - G[b, k].  Only the rows
+    # it leaves undecided gather their x and y.
     cross = queries @ pts.T
     q2 = np.einsum("ij,ij->i", queries, queries)
     d2 = q2[:, None] + ps._norms2[None, :] - 2.0 * cross
+    alive = np.arange(m)
     best = np.argmin(d2, axis=1)
-    inside[:] = np.sqrt(np.maximum(d2[np.arange(m), best], 0.0)) <= r_in
-    alive = np.flatnonzero(~inside)
-
-    x = queries[alive]
-    y = pts[best[alive]]
+    zn = np.sqrt(np.maximum(d2[alive, best], 0.0))
+    zx = q2 - cross[alive, best]
+    zp = cross
+    zp -= ps._gram[best]
+    x = y = None
     for _ in range(_REFINE_ITERS):
         if not alive.size:
             break
-        z = x - y
-        zn = np.linalg.norm(z, axis=1)
-        zn = np.maximum(zn, 1e-300)
-        # Support function bound: dist >= min_k <z, x - p_k> / ||z||.
-        zp = z @ pts.T
-        zx = np.einsum("ij,ij->i", z, x)
+        if x is not None:
+            z = x - y
+            zn = np.sqrt(np.einsum("ij,ij->i", z, z))
+            zp = z @ pts.T
+            zx = np.einsum("ij,ij->i", z, x)
+        # Support function bound: dist >= min_k <z, x - p_k> / ||z||.  It
+        # never exceeds ||z||, as y lies in the hull; capping it there keeps
+        # round one's expanded products, whose rounding is large over a
+        # small ||z||, from certifying a row beyond r_out.
         sup_idx = np.argmax(zp, axis=1)
-        lb = (zx - zp[np.arange(len(alive)), sup_idx]) / zn
+        lb = (zx - zp[np.arange(len(alive)), sup_idx]) / np.maximum(zn, 1e-300)
+        lb = np.minimum(lb, zn)
         is_in = zn <= r_in
         is_out = lb > r_out
         inside[alive[is_in]] = True
         outside[alive[is_out]] = True
         keep = ~(is_in | is_out | ((lb > r_in) & (zn <= r_out)))
         alive = alive[keep]
-        x = x[keep]
-        y = y[keep]
+        if x is None:
+            x = queries[alive]
+            y = pts[best[alive]]
+        else:
+            x = x[keep]
+            y = y[keep]
         s = pts[sup_idx[keep]]
         w = s - y
         wn2 = np.einsum("ij,ij->i", w, w)

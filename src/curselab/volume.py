@@ -242,14 +242,15 @@ def mc_hull_neighborhood_volume(
     delta: float,
     n_samples: int,
     seed: int,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> VolumeEstimate:
     """Estimate the volume of the hull neighborhood inside the domain.
 
     Draws ``n_samples`` uniform points and counts the fraction within
     Euclidean distance ``delta*sqrt(d)`` of the hull.  Chunks are keyed
-    by ``(seed, chunk_index)`` and reduced in chunk order, so the result
-    is identical for every ``threads`` value.
+    by ``(seed, chunk_index)`` and reduced in chunk order by
+    :func:`mc_mean`, on every available core unless ``threads`` says
+    otherwise, so the result is identical for every ``threads`` value.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")

@@ -1,6 +1,9 @@
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+
+from curselab import rng
 
 
 @pytest.fixture
@@ -13,3 +16,16 @@ def report_cpus(monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: count)
 
     return report
+
+
+@pytest.fixture
+def pool_workers(monkeypatch):
+    """The worker counts of the thread pools ``rng.mc_mean`` starts, in order."""
+    workers = []
+
+    def spy(max_workers):
+        workers.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", spy)
+    return workers

@@ -124,6 +124,24 @@ def test_qpt_bound_order_selection():
     assert report.log_value == pytest.approx(3.0 * (1.0 + math.log(7.0)), rel=1e-12)
 
 
+def test_qpt_order_is_exact_where_c_over_eps_is_a_power_of_a():
+    # The float quotient of logs lands just above the integer in each case.
+    assert bounds.quasi_poly_cost_bound(2.0**-25, 5, 0.5, 2.0).extras["k_eps"] == 24
+    assert bounds.quasi_poly_cost_bound(2.0**-28, 5, 2.0, 2.0).extras["k_eps"] == 29
+    assert bounds.quasi_poly_cost_bound(0.008, 5, 1.0, 5.0).extras["k_eps"] == 3
+    # Here 1/eps exceeds 3^1 exactly, so the ceiling stays at 2.
+    eps = math.nextafter(1.0 / 3.0, 0.0)
+    assert bounds.quasi_poly_cost_bound(eps, 5, 1.0, 3.0).extras["k_eps"] == 2
+
+
+def test_qpt_order_is_the_true_ceiling_on_powers_of_two():
+    for t in (1, 2, 3):
+        for i in range(-3, 4):
+            for j in range(1, 61):
+                report = bounds.quasi_poly_cost_bound(2.0**-j, 5, 2.0**i, 2.0**t)
+                assert report.extras["k_eps"] == max(0, -(-(i + j) // t)), (t, i, j)
+
+
 def test_qpt_bound_easy_accuracy_needs_single_point():
     report = bounds.quasi_poly_cost_bound(0.9, 7, 0.5, 2.0)
     assert report.extras["k_eps"] == 0

@@ -85,18 +85,24 @@ def test_constants_limit_ratio_handles_infinity(tmp_path):
 def test_volume_run_and_determinism(tmp_path):
     args = [
         "volume", "--domain", "lp:2", "--d", "6", "--n", "5",
-        "--delta", "0.1", "--samples", "2000", "--seed", "7",
+        "--delta", "0.1", "--samples", "40000", "--seed", "7",
     ]
-    code1, text1 = run_cli(args, tmp_path, "a.json")
-    code2, text2 = run_cli(args, tmp_path, "b.json")
-    code4, text4 = run_cli(args + ["--threads", "4"], tmp_path, "c.json")
-    assert code1 == code2 == code4 == 0
-    assert text1 == text2
-    payload1 = json.loads(text1)
-    payload4 = json.loads(text4)
-    assert payload1["results"] == payload4["results"]
-    assert payload1["results"]["mean"]["provenance"] == "monte_carlo"
-    assert payload1["results"]["bound_source"] == "small_radius"
+    # Three chunks: without --threads they are drawn on every core.
+    runs = [run_cli(args + extra, tmp_path, f"{i}.json") for i, extra in
+            enumerate(([], [], ["--threads", "1"], ["--threads", "4"]))]
+    assert [code for code, _ in runs] == [0, 0, 0, 0]
+    assert len({text for _, text in runs}) == 1
+    payload = json.loads(runs[0][1])
+    assert payload["results"]["mean"]["provenance"] == "monte_carlo"
+    assert payload["results"]["bound_source"] == "small_radius"
+
+
+def test_threads_below_one_are_refused(capsys):
+    code, err = _one_line_error(capsys, [
+        "volume", "--domain", "lp:2", "--d", "6", "--n", "5", "--delta", "0.1",
+        "--samples", "2000", "--seed", "7", "--threads", "0"])
+    assert code == 1
+    assert "--threads must be at least 1" in err
 
 
 def test_volume_requires_seed(tmp_path):

@@ -427,3 +427,53 @@ def test_within_distance_matches_scalar_reference(monkeypatch, d, n, seed, scale
         mask = hull.within_distance(ps, queries, r)
         assert np.array_equal(mask, exact <= r)
     assert sum(fallback) > 0  # the exact fallback was exercised
+
+
+def _near_cut_case(kind):
+    """A point set, far points and a radius r = 0.05 sqrt(d) (0.18 sqrt(d) on one vertex)."""
+    if kind == "ball":
+        dom, n, delta = geo.DomainSpec.lp_ball(2, 50), 16, 0.05
+    elif kind == "cube":
+        dom, n, delta = geo.DomainSpec.cube(200), 8, 0.05
+    else:
+        dom, n, delta = geo.DomainSpec.lp_ball(2, 10), 1, 0.18
+    rng = np.random.default_rng(23)
+    ps = hull.PointSet(dom.sample(rng, n), domain=dom)
+    return ps, dom.sample(rng, 300), delta * math.sqrt(dom.d)
+
+
+@pytest.mark.parametrize("kind", ["ball", "cube", "one_vertex"])
+def test_within_distance_matches_the_solver_at_the_cut(kind):
+    # Queries at hull distance r (1 +- f): at f = 1e-9 they sit at the edge
+    # of the bracket's certified cuts, so its first round, read off the
+    # nearest-vertex products, is checked where its rounding matters.
+    ps, far, r = _near_cut_case(kind)
+    proj = hull.project_batch(ps, far)
+    keep = proj.distance > 0.0
+    nearest, distance, far = proj.nearest[keep], proj.distance[keep], far[keep]
+    decided = 0
+    for f in (1e-9, 1e-6):
+        queries = np.vstack([hull.slide_toward(nearest, distance, far, r * (1.0 + s * f))
+                             for s in (-1.0, 1.0)])
+        solver = hull.project_batch(ps, queries)
+        fine = ~solver.stalled
+        assert fine.mean() > 0.9
+        mask = hull.within_distance(ps, queries, r)
+        assert np.array_equal(mask[fine], (solver.distance <= r)[fine])
+        inside, outside, _, _ = hull.bracket(ps, queries, r, r)
+        decided += int(inside.sum() + outside.sum())
+    assert decided > 0  # the bracket, not only the solver, gave verdicts
+
+
+def test_within_distance_next_to_a_vertex_at_tiny_radii():
+    # Queries 1e-12 from a vertex: the expanded products give their
+    # nearest-vertex distance as rounding noise, and at these radii the
+    # bracket's inner cut is negative, so only the cap of the lower bound
+    # at that distance keeps them from being certified beyond r.
+    rng = np.random.default_rng(5)
+    ps = hull.PointSet(rng.random((8, 20)) * 3.0)
+    u = rng.standard_normal((400, 20))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    queries = ps.points[rng.integers(0, 8, 400)] + 1e-12 * u
+    for r in (1e-6, 1e-9):
+        assert hull.within_distance(ps, queries, r).all()

@@ -1,5 +1,4 @@
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -86,30 +85,17 @@ def test_mc_mean_pool_workers_run_blas_single_threaded():
         put(original)
 
 
-def _spy_on_pools(monkeypatch):
-    workers = []
-
-    def spy(max_workers):
-        workers.append(max_workers)
-        return ThreadPoolExecutor(max_workers)
-
-    monkeypatch.setattr(rng, "ThreadPoolExecutor", spy)
-    return workers
-
-
-def test_mc_mean_default_threads_match_one_thread(monkeypatch, report_cpus):
+def test_mc_mean_default_threads_match_one_thread(pool_workers, report_cpus):
     report_cpus(4)
-    workers = _spy_on_pools(monkeypatch)
     n = 3 * (1 << 14) + 123
     assert mc_mean(_normal_draw, 17, n) == mc_mean(_normal_draw, 17, n, threads=1)
-    assert workers == [4]  # the default pooled; threads=1 did not
+    assert pool_workers == [4]  # the default pooled; threads=1 did not
 
 
-def test_mc_mean_default_clamps_threads_to_chunks(monkeypatch, report_cpus):
+def test_mc_mean_default_clamps_threads_to_chunks(pool_workers, report_cpus):
     report_cpus(8)
-    workers = _spy_on_pools(monkeypatch)
     mc_mean(_normal_draw, 2, 2 * (1 << 14) + 1)
-    assert workers == [3]
+    assert pool_workers == [3]
 
 
 def test_mc_mean_one_chunk_starts_no_pool(monkeypatch, report_cpus):

@@ -244,6 +244,16 @@ def test_mc_volume_deterministic_and_thread_invariant():
     assert one == two == four
 
 
+def test_mc_volume_defaults_to_every_core(pool_workers, report_cpus):
+    report_cpus(4)
+    dom = geo.DomainSpec.cube(3)
+    ps = hull.PointSet(np.array([[0.2, 0.4, 0.6], [0.7, 0.1, 0.3]]), domain=dom)
+    pooled = volume.mc_hull_neighborhood_volume(ps, dom, 0.1, 3 * (1 << 14), seed=6)
+    assert pool_workers == [3]  # every core, clamped to the three chunks
+    alone = volume.mc_hull_neighborhood_volume(ps, dom, 0.1, 3 * (1 << 14), seed=6, threads=1)
+    assert pool_workers == [3] and pooled == alone
+
+
 def test_mc_volume_monotone_in_delta():
     dom = geo.DomainSpec.cube(4)
     rng = np.random.default_rng(10)
