@@ -35,7 +35,7 @@ for p in (1.5, 2, 5, 50, 200, math.inf):
 print(f"\nSmall-radius threshold sqrt(2/(pi e)) = {SMALL_RADIUS_THRESHOLD:.6f}")
 print("Balls with p < 2 blow up; p = 2 sits comfortably below the threshold.")
 
-p_star = solve_p_star(1e-10)
+p_star = solve_p_star()
 print(f"\nThe radius limit crosses the threshold at p* = {p_star:.4f}:")
 for p in (100, p_star - 1, p_star + 1, 1000):
     side = "small" if radius_limit_ratio(p) < SMALL_RADIUS_THRESHOLD else "large"

@@ -204,14 +204,14 @@ class BoundReport:
     extras: dict = field(default_factory=dict)
 
 
-def _failed(rule: str, direction: str, note: str) -> BoundReport:
-    return BoundReport(
-        log_value=-math.inf,
-        rule=rule,
-        direction=direction,
-        preconditions_met=False,
-        note=note,
-    )
+def _failed(rule: str, direction: str, note: str, **extras) -> BoundReport:
+    """A bound whose preconditions do not hold."""
+    return BoundReport(-math.inf, rule, direction, False, note, extras)
+
+
+def _met(rule: str, direction: str, log_value: float, note: str = "", **extras) -> BoundReport:
+    """A bound whose preconditions hold."""
+    return BoundReport(log_value, rule, direction, True, note, extras)
 
 
 def lb_lipschitz(eps: float, d: int, lip: float, a: float = 1.0) -> BoundReport:
@@ -224,13 +224,7 @@ def lb_lipschitz(eps: float, d: int, lip: float, a: float = 1.0) -> BoundReport:
     if lip <= 0.0 or d < 1:
         return _failed(rule, "lower", "requires lip > 0 and d >= 1")
     base = a * lip * math.sqrt(d) / (3.0 * math.sqrt(2.0 * math.e * math.pi))
-    return BoundReport(
-        log_value=math.log1p(-a * eps) + d * math.log(base),
-        rule=rule,
-        direction="lower",
-        preconditions_met=True,
-        extras={"base": base},
-    )
+    return _met(rule, "lower", math.log1p(-a * eps) + d * math.log(base), base=base)
 
 
 def lb_lipschitz_gradient_cube(eps: float, d: int) -> BoundReport:
@@ -244,13 +238,8 @@ def lb_lipschitz_gradient_cube(eps: float, d: int) -> BoundReport:
         return _failed(rule, "lower", f"requires eps in (0,1), got {eps}")
     if d < 1:
         return _failed(rule, "lower", "requires d >= 1")
-    return BoundReport(
-        log_value=math.log1p(-eps) - math.log(d + 1.0) + d * math.log(8.0 / 7.0),
-        rule=rule,
-        direction="lower",
-        preconditions_met=True,
-        extras={"L0": GRADIENT_CUBE_L0 / math.sqrt(d), "L1": GRADIENT_CUBE_L1 / d},
-    )
+    return _met(rule, "lower", math.log1p(-eps) - math.log(d + 1.0) + d * math.log(8.0 / 7.0),
+                L0=GRADIENT_CUBE_L0 / math.sqrt(d), L1=GRADIENT_CUBE_L1 / d)
 
 
 def lb_higher_smoothness(eps: float, d: int, growth: float) -> BoundReport:
@@ -264,12 +253,21 @@ def lb_higher_smoothness(eps: float, d: int, growth: float) -> BoundReport:
         return _failed(rule, "lower", f"requires growth > 1, got {growth}")
     if not 0.0 < eps < 1.0:
         return _failed(rule, "lower", f"requires eps in (0,1), got {eps}")
-    return BoundReport(
-        log_value=math.log1p(-eps) + d * math.log(growth),
-        rule=rule,
-        direction="lower",
-        preconditions_met=True,
-    )
+    return _met(rule, "lower", math.log1p(-eps) + d * math.log(growth))
+
+
+def _log_value(value: float, terms: list[tuple[float, ...]]) -> float:
+    """ln of a non-negative ``value``, the sum of the products of ``terms``.
+
+    Where the value overflowed, the log comes from the factors' logs.
+    """
+    if value == 0.0:
+        return -math.inf
+    if math.isfinite(value):
+        return math.log(value)
+    logs = [sum(map(math.log, factors)) for factors in terms if min(factors) > 0.0]
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
 def ub_one_point_c0(lip: float, d: int, big_r: float, tail: float) -> BoundReport:
@@ -277,14 +275,9 @@ def ub_one_point_c0(lip: float, d: int, big_r: float, tail: float) -> BoundRepor
     rule = "one_point_c0_upper"
     if lip < 0.0 or big_r < 0.0 or tail < 0.0 or d < 1:
         return _failed(rule, "upper", "requires non-negative arguments and d >= 1")
-    value = big_r * lip * math.sqrt(d) + 2.0 * tail
-    return BoundReport(
-        log_value=math.log(value) if value > 0.0 else -math.inf,
-        rule=rule,
-        direction="upper",
-        preconditions_met=True,
-        extras={"value": value},
-    )
+    terms = [(big_r, lip, math.sqrt(d)), (2.0, tail)]
+    value = sum(math.prod(factors) for factors in terms)
+    return _met(rule, "upper", _log_value(value, terms), value=value)
 
 
 def ub_one_point_c1(
@@ -301,18 +294,13 @@ def ub_one_point_c1(
     if big_r is not None:
         if tail is None or d is None:
             return _failed(rule, "upper", "ball variant needs big_r, tail and d")
-        value = big_r * big_r * lip_grad * d + 2.0 * tail
+        terms = [(big_r, big_r, lip_grad, d), (2.0, tail)]
         variant = "ball"
     else:
-        value = lip_grad * diam * diam
+        terms = [(lip_grad, diam, diam)]
         variant = "diameter"
-    return BoundReport(
-        log_value=math.log(value) if value > 0.0 else -math.inf,
-        rule=rule,
-        direction="upper",
-        preconditions_met=True,
-        extras={"value": value, "variant": variant},
-    )
+    value = sum(math.prod(factors) for factors in terms)
+    return _met(rule, "upper", _log_value(value, terms), value=value, variant=variant)
 
 
 def ub_taylor(j: int, lip_j: float, d: int, big_r: float) -> BoundReport:
@@ -321,27 +309,15 @@ def ub_taylor(j: int, lip_j: float, d: int, big_r: float) -> BoundReport:
     if j < 0 or d < 1 or big_r < 0.0 or lip_j < 0.0:
         return _failed(rule, "upper", "requires j >= 0, d >= 1, non-negative R and L")
     if lip_j == 0.0 or big_r == 0.0:
-        return BoundReport(
-            log_value=-math.inf,
-            rule=rule,
-            direction="upper",
-            preconditions_met=True,
-            extras={"value": 0.0},
-        )
+        return _met(rule, "upper", -math.inf, value=0.0)
     log_value = (
         (j + 1) * math.log(big_r)
         - gammaln(j + 1.0)
         + math.log(lip_j)
         + 0.5 * (j + 1) * math.log(d)
     )
-    return BoundReport(
-        log_value=log_value,
-        rule=rule,
-        direction="upper",
-        preconditions_met=True,
-        # The log stays finite; the value is inf beyond the float range.
-        extras={"value": exp_or_inf(log_value)},
-    )
+    # The log stays finite; the value is inf beyond the float range.
+    return _met(rule, "upper", log_value, value=exp_or_inf(log_value))
 
 
 def _order_for(c: float, eps: float, a: float) -> int:
@@ -384,13 +360,7 @@ def quasi_poly_cost_bound(eps: float, d: int, c: float, a: float) -> BoundReport
         * (1.0 - math.log(eps))
         * (1.0 + math.log(d))
     )
-    return BoundReport(
-        log_value=log_n,
-        rule=rule,
-        direction="upper",
-        preconditions_met=True,
-        extras={"k_eps": k_eps, "envelope": envelope},
-    )
+    return _met(rule, "upper", log_n, k_eps=k_eps, envelope=envelope)
 
 
 def unit_derivative_cost_bound(eps: float, d: int, rad: float) -> BoundReport:
@@ -403,13 +373,8 @@ def unit_derivative_cost_bound(eps: float, d: int, rad: float) -> BoundReport:
         return _failed(rule, "upper", "requires eps in (0,1), d >= 1, rad > 0")
     first = math.e**2 * rad
     second = math.log(rad / eps)
-    return BoundReport(
-        log_value=(1.0 + math.log(d)) * max(first, second),
-        rule=rule,
-        direction="upper",
-        preconditions_met=True,
-        extras={"curvature_branch": first, "accuracy_branch": second},
-    )
+    return _met(rule, "upper", (1.0 + math.log(d)) * max(first, second),
+                curvature_branch=first, accuracy_branch=second)
 
 
 def non_uniform_weak_witness(m: float, k: int, alpha: float) -> BoundReport:
@@ -427,14 +392,8 @@ def non_uniform_weak_witness(m: float, k: int, alpha: float) -> BoundReport:
     if alpha <= 0.0 or alpha > 1.0:
         return _failed(rule, "lower", f"requires alpha in (0, 1], got {alpha}")
     if alpha > 1.0 / m:
-        return BoundReport(
-            log_value=-math.inf,
-            rule=rule,
-            direction="lower",
-            preconditions_met=False,
-            note=f"alpha={alpha} exceeds 1/m={1.0 / m}; the ratio tends to zero",
-            extras={"limit": 0.0},
-        )
+        note = f"alpha={alpha} exceeds 1/m={1.0 / m}; the ratio tends to zero"
+        return _failed(rule, "lower", note, limit=0.0)
     top = max(alpha, alpha * m)
     if top < 1.0:
         limit = math.inf
@@ -443,14 +402,9 @@ def non_uniform_weak_witness(m: float, k: int, alpha: float) -> BoundReport:
             2.0**alpha if alpha * m == 1.0 else 0.0
         )
         limit = math.log(2.0) / coeff
-    return BoundReport(
-        log_value=math.log(limit),
-        rule=rule,
-        direction="lower",
-        preconditions_met=True,
-        note="liminf of (d-1) ln2 / (d^alpha + 2^alpha d^(alpha m)) along eps_d = d^-m / 2",
-        extras={"limit": limit, "eps_sequence": "d^-m / 2", "k": k},
-    )
+    return _met(rule, "lower", math.log(limit),
+                "liminf of (d-1) ln2 / (d^alpha + 2^alpha d^(alpha m)) along eps_d = d^-m / 2",
+                limit=limit, eps_sequence="d^-m / 2", k=k)
 
 
 # ---------------------------------------------------------------------------

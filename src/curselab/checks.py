@@ -22,7 +22,7 @@ from .fooling import (
     fooling_c0,
     fooling_c1,
     fooling_eval_batch,
-    make_alpha_sequence,
+    fooling_smoothed,
     smoothed_eval,
 )
 from .geometry import DomainSpec
@@ -314,18 +314,21 @@ def smooth_check(
     samples: int,
     seed: int,
 ) -> dict:
-    """Convolution-smoothing suite with uniform weights and k kernels.
+    """Convolution-smoothing suite on the class-order-(k+1) construction.
 
-    Verifies the normalized-kernel hooks (a constant base reproduces the
-    constant exactly, an affine base matches up to Monte Carlo error),
-    the exact-zero and exact-one regions of the smoothed construction,
-    and the Lipschitz quotient of smoothed means on common random
-    numbers against the base Lipschitz constant.
+    Runs :func:`fooling_smoothed` with order k + 1, the c1 ramp
+    convolved with k uniform ball kernels, and takes every smoothed mean
+    from that object.  Verifies the normalized-kernel hooks (a constant
+    base reproduces the constant exactly, an affine base matches up to
+    Monte Carlo error) with the same kernels, the exact-zero and
+    exact-one regions of the smoothed construction, and the Lipschitz
+    quotient of smoothed means on common random numbers against the
+    certified Lipschitz constant.
     """
+    _require_count("k", k)
     dom = DomainSpec.cube(d)
     ps = random_point_set(dom, n, seed)
-    f = fooling_c1(ps, delta)
-    seq = make_alpha_sequence("uniform", k=k)
+    f = fooling_smoothed(ps, delta, k + 1)
     r = delta * math.sqrt(d)
     lip = f.certificate.value(0, d)
     rng = substream(seed, 1)
@@ -334,7 +337,7 @@ def smooth_check(
     const_value = 0.375
     mean_c, _ = smoothed_eval(
         lambda pts: np.full(len(np.atleast_2d(pts)), const_value),
-        seq, k, delta, x0, samples, seed + 1,
+        f.seq, f.kernels, f.delta, x0, samples, seed + 1,
     )
     const_pass = mean_c == const_value
 
@@ -342,23 +345,18 @@ def smooth_check(
     b_off = float(rng.random())
     mean_a, hw_a = smoothed_eval(
         lambda pts: np.atleast_2d(pts) @ a_vec + b_off,
-        seq, k, delta, x0, samples, seed + 1,
+        f.seq, f.kernels, f.delta, x0, samples, seed + 1,
     )
     target = float(a_vec @ x0 + b_off)
     affine_pass = abs(mean_a - target) <= 3.0 * hw_a
 
     w = rng.dirichlet(np.ones(ps.n), size=4)
     hull_pts = w @ ps.points
-    zero_means = [
-        smoothed_eval(f, seq, k, delta, point, samples, seed + 2)[0]
-        for point in hull_pts
-    ]
+    zero_means = [f.smoothed_estimate(point, samples, seed + 2)[0] for point in hull_pts]
     zero_pass = all(m == 0.0 for m in zero_means)
 
     far = _certified_far_points(substream(seed, 3), ps, dom, 3.0 * r, 4)
-    one_means = [
-        smoothed_eval(f, seq, k, delta, point, samples, seed + 2)[0] for point in far
-    ]
+    one_means = [f.smoothed_estimate(point, samples, seed + 2)[0] for point in far]
     one_pass = all(m == 1.0 for m in one_means)
 
     # Lipschitz of smoothed means: pairs straddling the ramp, common seed.
@@ -372,8 +370,8 @@ def smooth_check(
         direction /= np.linalg.norm(direction)
         xa = base + direction * (r * (1.0 + 0.3 * pair_rng.random()))
         xb = base + direction * (r * (1.3 + 0.9 * pair_rng.random()))
-        ma, ha = smoothed_eval(f, seq, k, delta, xa, samples, seed + 5 + i)
-        mb, hb = smoothed_eval(f, seq, k, delta, xb, samples, seed + 5 + i)
+        ma, ha = f.smoothed_estimate(xa, samples, seed + 5 + i)
+        mb, hb = f.smoothed_estimate(xb, samples, seed + 5 + i)
         gap = float(np.linalg.norm(xa - xb))
         quotient = abs(ma - mb) / gap
         allowance = 3.0 * math.sqrt(ha * ha + hb * hb) / gap

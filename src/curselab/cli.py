@@ -18,7 +18,9 @@ fully determined by their configuration: the same flags (or config
 file) produce byte-identical output for any ``--threads`` value.
 
 Exit codes: 0 success, 1 invalid configuration, 2 a checked inequality
-failed, 3 internal numerical failure.
+failed, 3 internal numerical failure.  Every non-zero exit writes one
+line to stderr; exit 2 writes the full report first, and its line names
+the checks that failed.
 """
 
 from __future__ import annotations
@@ -233,10 +235,9 @@ def _run_gamma(v, name: str, gc: vol.GammaConstant):
 
 
 def _run_p_star(v):
-    tol = v.get("tol", 1e-10)
-    root = geo.solve_p_star(tol)
+    root = geo.solve_p_star()
     residual = geo.p_star_lhs(root) - math.sqrt(math.pi * math.e / 2.0)
-    return {"constant": "p_star", "pass": True, **tagged("formula", tol=tol),
+    return {"constant": "p_star", "pass": True,
             **tagged("solver", value=root, residual=residual)}, None
 
 
@@ -296,11 +297,12 @@ def _run_taylor(v):
 
 
 class _Sweep(NamedTuple):
-    """A bounds sweep, emitted as CSV."""
+    """A bounds sweep, emitted as CSV; ``unmet`` counts rows whose
+    preconditions fail."""
 
     header: list[str]
     rows: list[list]
-    passed: bool
+    unmet: int
 
 
 def _run_bounds(v, build):
@@ -313,7 +315,7 @@ def _run_bounds(v, build):
                  r.preconditions_met, r.rule] for (d, eps), r in reports]
         plot_rows = [(d, r.log_value) if eps is None else (d, eps, r.log_value)
                      for (d, eps), r in reports]
-        return _Sweep(header, rows, all(r.preconditions_met for _, r in reports)), plot_rows
+        return _Sweep(header, rows, sum(not r.preconditions_met for _, r in reports)), plot_rows
     (d, eps), report = reports[0]
     if not report.preconditions_met:
         raise CliError(report.note)
@@ -463,7 +465,7 @@ _COMMANDS = {
             "gamma": _SWITCH, "gamma_tilde": _SWITCH, "p_star": _SWITCH,
             "radius": _SWITCH, "limit_ratio": _SWITCH, "ball_volume": _SWITCH,
             "delta": _float(), "eta": _float(), "p": _typed(_exponent), "d": _int(),
-            "tol": _float(), "check_below": _float(),
+            "check_below": _float(),
         },
         select=_constant_mode,
         label="--{key}",
@@ -472,7 +474,7 @@ _COMMANDS = {
                 v, "gamma", vol.gamma_constant(v["delta"], v["eta"]))),
             "gamma-tilde": Mode("delta check_below", "delta", lambda v: _run_gamma(
                 v, "gamma_tilde", vol.gamma_tilde_cube(v["delta"]))),
-            "p-star": Mode("tol", "", _run_p_star),
+            "p-star": Mode("", "", _run_p_star),
             "radius": Mode("p d", "p d", _run_radius),
             "limit-ratio": Mode("p", "p", _run_limit_ratio),
             "ball-volume": Mode("p d", "p d", _run_ball_volume),
@@ -675,7 +677,8 @@ def main(argv: list[str] | None = None) -> int:
         results, plot_rows = mode.run(values)
         if isinstance(results, _Sweep):
             _emit_csv(results.header, results.rows, values.get("out"))
-            passed = results.passed
+            failed = (f"preconditions_met is false in {results.unmet} of "
+                      f"{len(results.rows)} rows" if results.unmet else "")
         else:
             # The common flags stay out of the echo: outputs must be
             # byte-identical across thread counts.
@@ -683,7 +686,9 @@ def main(argv: list[str] | None = None) -> int:
             payload = {"schema": SCHEMA, "subcommand": name, "config": echo, "results": results}
             _emit_text(json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n",
                        values.get("out"))
-            passed = results["pass"]
+            failed = "" if results["pass"] else ", ".join(
+                sorted(k for k, x in results.items() if k.endswith("_pass") and not x)
+            ) or "pass"
         if plot_rows:
             _emit_plot(plot_rows, values.get("plot_data"))
     except (ValueError, OSError) as exc:  # CliError included
@@ -692,7 +697,10 @@ def main(argv: list[str] | None = None) -> int:
     except (HullIterationError, FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"curselab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return EXIT_OK if passed else EXIT_VIOLATED
+    if failed:
+        print(f"curselab: check failed: {failed}", file=sys.stderr)
+        return EXIT_VIOLATED
+    return EXIT_OK
 
 
 if __name__ == "__main__":

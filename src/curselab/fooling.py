@@ -40,7 +40,7 @@ from .hull import (
     project_batch,
     slide_toward,
 )
-from .rng import mc_mean
+from .rng import _BLOCK_ENTRIES, mc_mean
 
 __all__ = [
     "ProfileP",
@@ -87,9 +87,6 @@ class ProfileP:
     def breakpoints(self) -> tuple[float, float]:
         t2 = self.delta * self.delta * self.d
         return (t2 / 4.0, t2)
-
-    def __call__(self, t):
-        return profile_eval(self, t)
 
 
 def profile_eval(pp: ProfileP, t):
@@ -237,14 +234,22 @@ def _ramp_levels(delta: float, k: int) -> list[tuple[float, float]]:
 
     L_0 = 2/(delta sqrt(d)) and L_j = 40/(delta^2 d) ((k-1)/delta)^{j-1}
     for j = 1..k, as (constant, d exponent) pairs; k = 1 is the c1
-    certificate, and k = 0 leaves L_0 alone.
+    certificate, and k = 0 leaves L_0 alone.  A delta so small that a
+    constant leaves the float range raises :class:`FloatingPointError`.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    base = 40.0 / (delta * delta)
-    return [(2.0 / delta, -0.5)] + [
-        (base * ((k - 1) / delta) ** (j - 1), -1.0) for j in range(1, k + 1)
-    ]
+    overflow = f"delta = {delta:g} puts a certified constant beyond the float range"
+    try:
+        base = 40.0 / (delta * delta)
+        levels = [(2.0 / delta, -0.5)] + [
+            (base * ((k - 1) / delta) ** (j - 1), -1.0) for j in range(1, k + 1)
+        ]
+    except (ZeroDivisionError, OverflowError):
+        raise FloatingPointError(overflow) from None
+    if not all(math.isfinite(c) for c, _ in levels):
+        raise FloatingPointError(overflow)
+    return levels
 
 
 def fooling_c1(hull: PointSet, delta: float) -> FoolingFunction:
@@ -355,10 +360,6 @@ def fooling_c1_eval(
 ) -> tuple[float, np.ndarray]:
     """Value and gradient of the C^1 construction at x (a batch of one)."""
     return fooling_c1(hull, delta).gradient(x)
-
-
-#: Entries per array in one row block of :func:`smoothed_eval` (1 MiB of float64).
-_BLOCK_ENTRIES = 1 << 17
 
 
 def smoothed_eval(

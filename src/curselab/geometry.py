@@ -122,16 +122,14 @@ def p_star_lhs(p: float) -> float:
     return 2.0 * (p * math.e) ** (1.0 / p) * math.exp(gammaln(1.0 + 1.0 / p))
 
 
-def solve_p_star(tol: float) -> float:
+def solve_p_star() -> float:
     """Critical exponent where the limit radius ratio crosses the decay threshold.
 
     Solves 2 (p e)^{1/p} Gamma(1+1/p) = sqrt(pi e / 2) on (2, 1e6) by
     bisection until no float lies between the bracket ends (65 steps),
     then returns the end with the smaller residual, which must be below
-    ``tol``.
+    1e-10.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     target = math.sqrt(math.pi * math.e / 2.0)
 
     def residual(p: float) -> float:
@@ -148,8 +146,8 @@ def solve_p_star(tol: float) -> float:
         else:
             lo, f_lo = mid, f_mid
     root, f_root = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
-    if abs(f_root) >= tol:
-        raise RuntimeError(f"root residual {f_root:.3e} exceeds tol {tol:.3e}")
+    if abs(f_root) >= 1e-10:
+        raise RuntimeError(f"root residual {f_root:.3e} exceeds 1e-10")
     return root
 
 
@@ -159,6 +157,8 @@ class DomainSpec:
 
     ``radius`` is the Euclidean radius (distance from the center to the
     farthest point of the domain); ``radius_ratio`` divides it by sqrt(d).
+    ``lp_scale`` is the ball's radius in its own lp norm, the factor
+    that makes its volume one (zero for the cube).
     ``p`` is only meaningful for the ball kind and may be ``math.inf``,
     which is handled by explicit branches rather than inf arithmetic.
     """
@@ -168,6 +168,7 @@ class DomainSpec:
     p: float | None = None
     center: np.ndarray = field(repr=False, default=None)
     radius: float = 0.0
+    lp_scale: float = 0.0
 
     @staticmethod
     def cube(d: int) -> "DomainSpec":
@@ -191,19 +192,12 @@ class DomainSpec:
             p=p,
             center=np.zeros(d),
             radius=rad.value,
+            lp_scale=0.5 if math.isinf(p) else math.exp(_lp_scale_log(p, d)),
         )
 
     @property
     def radius_ratio(self) -> float:
         return self.radius / math.sqrt(self.d)
-
-    def lp_scale(self) -> float:
-        """Scaling factor of the volume-one ball in its own lp norm."""
-        if self.kind != "lp_ball":
-            raise ValueError("lp_scale is defined for lp_ball domains only")
-        if math.isinf(self.p):
-            return 0.5
-        return math.exp(_lp_scale_log(self.p, self.d))
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         """Boolean mask of rows of ``x`` lying in the closed domain, up to 1e-12."""
@@ -213,11 +207,10 @@ class DomainSpec:
             raise ValueError(f"points have dimension {x.shape[1]}, expected {self.d}")
         if self.kind == "cube":
             return np.all((x >= -slack) & (x <= 1.0 + slack), axis=1)
-        scale = self.lp_scale()
         if math.isinf(self.p):
-            return np.all(np.abs(x) <= scale + slack, axis=1)
+            return np.all(np.abs(x) <= self.lp_scale + slack, axis=1)
         norms = np.sum(np.abs(x) ** self.p, axis=1) ** (1.0 / self.p)
-        return norms <= scale + slack
+        return norms <= self.lp_scale + slack
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` points uniformly from the domain.
@@ -232,7 +225,7 @@ class DomainSpec:
             raise ValueError("n must be non-negative")
         if self.kind == "cube":
             return rng.random((n, self.d))
-        scale = self.lp_scale()
+        scale = self.lp_scale
         if math.isinf(self.p):
             return (rng.random((n, self.d)) - 0.5) * (2.0 * scale)
         if self.p == 2.0:

@@ -372,10 +372,11 @@ def _solver_slack(r: float) -> float:
     package's domains; the lower bound is capped at the nearest-vertex
     distance, so it certifies a row beyond r only where that distance,
     the divisor of its rounding, exceeds r as well.  A query whose
-    solver stalled is not covered.  At ``r = 0`` the slack is zero, and
-    rounding is not covered either: a query 1e-12 from a vertex can get
-    a nearest-vertex distance of 0, so it is certified within 0 where
-    the solver reports its distance.
+    solver stalled is not covered.  At ``r = 0`` the slack is zero and
+    no bound is exact enough to certify a distance of zero (a query
+    1e-12 from a vertex can get a nearest-vertex distance of 0), so
+    :func:`bracket` certifies no row within an inner cut of zero and
+    forms its first bounds without the expanded products there.
     """
     return 2.0 * _TOL * (1.0 + r) / r if r > 0.0 else 0.0
 
@@ -391,6 +392,9 @@ def bracket(
     solver's projection of those rows, one projection row per listed
     row.  Both cuts are first widened by ``_solver_slack(r_in)``, so
     every certified row is one the solver would put on the same side.
+    At ``r_in = 0`` no row is certified within, and round one's bounds
+    are formed from the differences themselves, so the solver decides
+    every row the outer cut leaves.
     The nearest-vertex distance is an upper bound; the support function
     in the direction of the current residual is a lower bound; a
     Gilbert-type line search tightens both for up to ``_REFINE_ITERS``
@@ -399,8 +403,9 @@ def bracket(
     neither verdict can be reached (lower bound above the inner cut,
     upper bound at most the outer).
     """
+    exact = r_in <= 0.0
     slack = _solver_slack(r_in)
-    r_in, r_out = r_in - slack, r_out + slack
+    r_in, r_out = -np.inf if exact else r_in - slack, r_out + slack
     pts = ps.points
     m = queries.shape[0]
     inside = np.zeros(m, dtype=bool)
@@ -415,11 +420,16 @@ def bracket(
     d2 = q2[:, None] + ps._norms2[None, :] - 2.0 * cross
     alive = np.arange(m)
     best = np.argmin(d2, axis=1)
-    zn = np.sqrt(np.maximum(d2[alive, best], 0.0))
-    zx = q2 - cross[alive, best]
-    zp = cross
-    zp -= ps._gram[best]
-    x = y = None
+    if exact:
+        # A cut of zero is below the products' rounding: round one forms
+        # z = x - p_b itself, which is zero only at the vertex.
+        x, y = queries, pts[best]
+    else:
+        zn = np.sqrt(np.maximum(d2[alive, best], 0.0))
+        zx = q2 - cross[alive, best]
+        zp = cross
+        zp -= ps._gram[best]
+        x = y = None
     for _ in range(_REFINE_ITERS):
         if not alive.size:
             break

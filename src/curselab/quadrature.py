@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import DomainSpec
-from .rng import mc_mean
+from .rng import _BLOCK_ENTRIES, mc_mean
 
 __all__ = [
     "Integrand",
@@ -130,9 +130,6 @@ def fd_partial(
     return _fd_derivatives(f, x, np.array([beta]), h, dom, {})[0]
 
 
-#: Entries per array in one block of stencil nodes (1 MiB of float64).
-_BLOCK_ENTRIES = 1 << 17
-
 # _CENTRAL_WEIGHTS[b, m] = (-1)^m C(b, m): the order-b central difference's
 # weight on its node at offset (b/2 - m) h, for b, m <= 8.
 _CENTRAL_WEIGHTS = np.array(
@@ -177,6 +174,22 @@ def _stencil_block(x: np.ndarray, betas: np.ndarray, steps: np.ndarray):
     return nodes, coeffs, row, t
 
 
+def _node_keys(nodes: np.ndarray, x_bits: np.ndarray, slots: int) -> list:
+    """Each node's cache key: see :func:`_fd_derivatives`."""
+    n, d = nodes.shape
+    bits = nodes.view(np.uint64)
+    # Row-major order lists each node's moved coordinates in ascending order.
+    moved = np.flatnonzero(bits != x_bits)
+    node, column = np.divmod(moved, d)
+    counts = np.bincount(node, minlength=n)
+    slot = np.arange(len(moved)) - np.repeat(np.cumsum(counts) - counts, counts)
+    keys = np.zeros(2 * slots * n, dtype=np.uint64)  # an unused slot stays (0, 0)
+    at = 2 * (node * slots + slot)
+    keys[at] = column + 1
+    keys[at + 1] = bits.ravel()[moved]
+    return keys.view(np.dtype((np.void, 16 * slots))).tolist()
+
+
 def _fd_derivatives(
     f: Integrand,
     x: np.ndarray,
@@ -191,11 +204,16 @@ def _fd_derivatives(
     The stencils are built in blocks of rows, at most ``_BLOCK_ENTRIES``
     node coordinates each.  With ``dom`` given, a block with a node
     outside the domain raises :class:`StencilOutsideDomainError` for its
-    first such node.  ``cache`` maps the bytes of a node's coordinates to
-    its value, so every distinct node is evaluated once, through
-    ``f.value_at`` and in enumeration order, and ``len(cache)`` counts
-    them.  Each row's terms coeff * value are summed one by one in
-    stencil order and divided by step ** |beta|.
+    first such node.  ``cache`` maps a node's key to its value, so every
+    distinct node is evaluated once, through ``f.value_at`` and in
+    enumeration order, and ``len(cache)`` counts them.  A node differs
+    from x + 0.0 only where its beta is nonzero, so its key holds just
+    the coordinates whose bits differ from those of x + 0.0, as (index
+    + 1, bits) slots in index order, padded with (0, 0) to the most
+    nonzero entries of any beta: two nodes share a key exactly when they
+    are bitwise equal.
+    Each row's terms coeff * value are summed one by one in stencil
+    order and divided by step ** |beta|.
     """
     if h is not None and h <= 0.0:
         raise ValueError("h must be positive")
@@ -205,6 +223,10 @@ def _fd_derivatives(
     row_steps = np.array(steps)[orders]
     sizes = _stencil_sizes(betas)
     rows = max(1, _BLOCK_ENTRIES // (d * int(sizes.max(initial=1))))
+    # Key slots: the most nonzero entries of any beta, at least one.
+    slots = max(1, int(np.count_nonzero(betas, axis=1).max(initial=0)))
+    # A coordinate where beta is zero is x_i + 0.0, as are those that do not move.
+    x_bits = (x + 0.0).view(np.uint64)
     derivs = np.empty(len(betas))
     for start in range(0, len(betas), rows):
         block = slice(start, start + rows)
@@ -221,7 +243,7 @@ def _fd_derivatives(
                     else "stencil node leaves the domain"
                 )
         values = []
-        for i, key in enumerate(nodes.view(np.dtype((np.void, 8 * d))).ravel().tolist()):
+        for i, key in enumerate(_node_keys(nodes, x_bits, slots)):
             value = cache.get(key)
             if value is None:
                 # A copy, so an integrand that writes to its input cannot alter the block.

@@ -31,6 +31,10 @@ Z95 = 1.959963984540054  # two-sided 95% quantile of the standard normal
 #: this fixes every seeded stream; it also bounds each draw's array size.
 _CHUNK = 1 << 14
 
+#: Entries per array in one block of rows (1 MiB of float64): the row
+#: blocks of ``smoothed_eval`` and the finite-difference stencil blocks.
+_BLOCK_ENTRIES = 1 << 17
+
 
 def substream(seed: int, task_index: int = 0) -> np.random.Generator:
     """Generator for substream ``task_index`` of the stream keyed by ``seed``."""

@@ -121,8 +121,14 @@ def gamma_constant(delta: float, eta: float) -> GammaConstant:
     infimum is 0, the limit alpha -> inf.  Otherwise the bracket is found
     by doubling and the section search runs down to a width of
     ``max(1e-8, 1e-12 * hi)``, which floats can resolve at any alpha.
+    A slope beyond the float range raises :class:`FloatingPointError`.
     """
     slope = delta * delta - eta * eta - 1.0 / 12.0
+    if not math.isfinite(slope):
+        raise FloatingPointError(
+            f"the slope at alpha = 0, delta^2 - eta^2 - 1/12, is {slope} "
+            f"at delta = {delta:g}, eta = {eta:g}"
+        )
     if slope >= -1e-14:  # boundary up to rounding: infimum is 1 at alpha -> 0
         return GammaConstant(delta, eta, 1.0, 0.0, slope)
     if 0.0 < delta <= eta - 0.5:
@@ -217,21 +223,17 @@ class VolumeEstimate:
     half_width_95: float
     samples: int
     seed: int
-    bound_log: float | None
-    bound_source: str  # "small_radius" | "cube" | "none"
+    bound_log: float
+    bound_source: str  # "small_radius" | "cube"
 
     @property
-    def bound(self) -> float | None:
+    def bound(self) -> float:
         """The bound itself; ``inf`` where it exceeds the float range."""
-        if self.bound_log is None:
-            return None
         return exp_or_inf(self.bound_log)
 
     @property
     def passed(self) -> bool:
         """mean <= bound + 3 half-widths, compared in log domain."""
-        if self.bound_log is None:
-            return True
         excess = self.mean - 3.0 * self.half_width_95
         return excess <= 0.0 or math.log(excess) <= self.bound_log
 
@@ -261,11 +263,9 @@ def mc_hull_neighborhood_volume(
     if dom.kind == "cube" and delta < 1.0 / 12.0 and delta > 0.0:
         bound_log = cube_hull_bound(ps.n, dom.d, delta)
         source = "cube"
-    elif dom.kind == "lp_ball" or dom.kind == "cube":
+    else:
         bound_log = small_radius_hull_bound(ps.n, dom.d, dom.radius_ratio, delta)
         source = "small_radius"
-    else:
-        bound_log, source = None, "none"
     r = delta * math.sqrt(dom.d)
 
     def draw(rng, size):

@@ -50,7 +50,7 @@ def test_criterion_01_gamma_constant_below_seven_eighths():
 
 def test_criterion_02_critical_exponent():
     start = time.perf_counter()
-    root = geometry.solve_p_star(1e-10)
+    root = geometry.solve_p_star()
     elapsed = time.perf_counter() - start
     ok = 170.50 <= root <= 170.53 and elapsed < 1.0
     report(2, ok, f"p* = {root:.6f} in [170.50, 170.53] ({elapsed:.3f}s)")

@@ -1,6 +1,7 @@
 import pytest
 
 from curselab import checks, fooling
+from curselab.hull import PointSet
 
 # Seeds on which the finite-difference gradient sub-check used to fail
 # at the README configuration: a stencil spanning a change of projection
@@ -83,8 +84,19 @@ def test_fool_check_c1_zero_and_one_checks_can_fail(monkeypatch, scale, failing)
 
 @pytest.mark.parametrize("scale,failing", [(0.5, "zero_pass"), (2.0, "one_pass")])
 def test_smooth_check_zero_and_one_checks_can_fail(monkeypatch, scale, failing):
-    exact = checks.fooling_c1
-    monkeypatch.setattr(checks, "fooling_c1", lambda ps, delta: exact(ps, scale * delta))
+    # A smoothed function built for a larger delta is below one at the far
+    # points.  One built for a smaller delta is still zero on the hull, as
+    # its kernels shrink with it, so the zero check is shown one built on
+    # the hull shrunk about its centroid: nonzero near the vertices.
+    exact = checks.fooling_smoothed
+
+    def wrong(ps, delta, k):
+        if scale > 1.0:
+            return exact(ps, scale * delta, k)
+        centre = ps.points.mean(axis=0)
+        return exact(PointSet(centre + scale * (ps.points - centre)), delta, k)
+
+    monkeypatch.setattr(checks, "fooling_smoothed", wrong)
     res = checks.smooth_check(5, 8, 0.05, 3, 2000, 1)
     assert not res[failing] and not res["pass"]
 
@@ -108,3 +120,31 @@ def test_fool_check_c1_evaluates_only_the_function_it_certifies(monkeypatch):
     checks.fool_check_c1(5, 8, 0.05, pairs=200, seed=1, samples=200)
     assert len(built) == 1 and evaluated
     assert all(f is built[0] for f in evaluated)
+
+
+def test_smooth_check_evaluates_only_the_function_it_certifies(monkeypatch):
+    # Every smoothed mean, the hooks' included, must use the certified
+    # object's kernels, and every mean of a fooling function must be of
+    # that object, not of a c1 function convolved by hand.
+    built, calls = [], []
+    make, smoothed = checks.fooling_smoothed, fooling.smoothed_eval
+
+    def recording_make(*args):
+        built.append(make(*args))
+        return built[-1]
+
+    def recording_smoothed(base, seq, kernels, delta, *args):
+        calls.append((base, seq, kernels, delta))
+        return smoothed(base, seq, kernels, delta, *args)
+
+    monkeypatch.setattr(checks, "fooling_smoothed", recording_make)
+    monkeypatch.setattr(checks, "smoothed_eval", recording_smoothed)
+    monkeypatch.setattr(fooling, "smoothed_eval", recording_smoothed)
+    assert checks.smooth_check(5, 8, 0.05, 3, 2000, 1)["pass"]
+    (f,) = built
+    assert f.variant == "smoothed" and f.kernels == 3
+    assert all((seq, kernels, delta) == (f.seq, f.kernels, f.delta)
+               for _, seq, kernels, delta in calls)
+    means = [base for base, *_ in calls if isinstance(base, fooling.FoolingFunction)]
+    # Four zero points, four one points and four Lipschitz pairs.
+    assert len(means) == 16 and all(base is f for base in means)

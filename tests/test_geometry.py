@@ -52,7 +52,7 @@ def test_radius_ratio_converges_to_limit(p):
 
 
 def test_p_star_value_and_residual():
-    root = geo.solve_p_star(1e-10)
+    root = geo.solve_p_star()
     assert 170.50 <= root <= 170.53
     target = math.sqrt(math.pi * math.e / 2.0)
     assert abs(geo.p_star_lhs(root) - target) < 1e-10
@@ -67,8 +67,8 @@ def test_p_star_bracket_signs():
 
 
 def test_p_star_deterministic():
-    a = geo.solve_p_star(1e-8)
-    b = geo.solve_p_star(1e-8)
+    a = geo.solve_p_star()
+    b = geo.solve_p_star()
     assert a == b  # bit-identical
 
 
@@ -175,5 +175,3 @@ def test_domain_errors():
         geo.lp_normalized_radius(0.99, 3)
     with pytest.raises(ValueError):
         geo.radius_limit_ratio(0.5)
-    with pytest.raises(ValueError):
-        geo.solve_p_star(-1.0)

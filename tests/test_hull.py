@@ -477,3 +477,20 @@ def test_within_distance_next_to_a_vertex_at_tiny_radii():
     queries = ps.points[rng.integers(0, 8, 400)] + 1e-12 * u
     for r in (1e-6, 1e-9):
         assert hull.within_distance(ps, queries, r).all()
+
+
+def test_within_distance_at_zero_radius_agrees_with_the_solver():
+    # Queries 1e-12 from a vertex have a nearest-vertex distance that the
+    # expanded products round to 0, and the vertices themselves one that
+    # they round above 0: at r = 0 the mask must still be the solver's.
+    rng = np.random.default_rng(5)
+    ps = hull.PointSet(rng.random((8, 20)) * 3.0)
+    u = rng.standard_normal((400, 20))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    queries = np.vstack([ps.points[rng.integers(0, 8, 400)] + 1e-12 * u, ps.points])
+    solver = hull.project_batch(ps, queries)
+    fine = ~solver.stalled
+    assert fine.all()
+    mask = hull.within_distance(ps, queries, 0.0)
+    assert np.array_equal(mask[fine], (solver.distance <= 0.0)[fine])
+    assert mask[400:].all() and not mask[:400].any()

@@ -322,6 +322,22 @@ def test_taylor_fd_memory_is_bounded_by_blocks():
     assert result.value == 0.0468167448397735
 
 
+def test_taylor_fd_cache_keys_hold_only_the_coordinates_that_move():
+    # d=30, j=6: a node differs from x* in at most three coordinates, so
+    # its key (their indices and bits, 36 bytes) is far shorter than the
+    # node's 240 bytes of coordinates, and the distinct keys are still the
+    # 39,801 distinct nodes.
+    d, j = 30, 6
+    sine, _ = _sine_case(d, seed=1)
+    f = quadrature.Integrand(eval=sine.eval)
+    dom = geometry.DomainSpec.cube(d)
+    cache = {}
+    betas = quadrature._even_multi_indices(d, j)
+    quadrature._fd_derivatives(f, dom.center, betas, None, dom, cache)
+    assert len(cache) == 39_801
+    assert max(map(len, cache)) < 8 * d
+
+
 def test_taylor_budget_refuses_before_evaluating():
     def never(points):
         raise AssertionError("evaluated despite the budget")
