@@ -28,7 +28,7 @@ for p in (1, 2, 4, math.inf):
 print("\nEuclidean radius of the volume-one lp ball, divided by sqrt(d):")
 print(f"{'p':>8} {'d=10':>10} {'d=100':>10} {'d=10000':>10} {'limit':>10}")
 for p in (1.5, 2, 5, 50, 200, math.inf):
-    ratios = [lp_normalized_radius(p, d).ratio for d in (10, 100, 10_000)]
+    ratios = [lp_normalized_radius(p, d) / math.sqrt(d) for d in (10, 100, 10_000)]
     limit = radius_limit_ratio(p)
     print(f"{p!s:>8} " + " ".join(f"{r:10.4f}" for r in ratios) + f" {limit:10.4f}")
 

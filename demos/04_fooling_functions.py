@@ -14,7 +14,6 @@ import numpy as np
 from curselab import (
     DomainSpec,
     PointSet,
-    ProfileP,
     fooling_c0,
     fooling_c1,
     profile_eval,
@@ -26,10 +25,10 @@ rng = np.random.default_rng(11)
 ps = PointSet(dom.sample(rng, n), domain=dom)
 
 print("The scalar ramp behind the C^1 construction:")
-pp = ProfileP(delta, d)
-t1, t2 = pp.breakpoints
+t2 = delta * delta * d  # p reaches one here; linear up to t2 / 4
+t1 = t2 / 4.0
 for t in (0.0, t1 / 2, t1, (t1 + t2) / 2, t2, 1.5 * t2):
-    v, dv = profile_eval(pp, t)
+    v, dv = profile_eval(delta, d, t)
     print(f"  p({t:.6f}) = {v:.4f}   p'({t:.6f}) = {dv:.2f}")
 
 f0 = fooling_c0(ps, lipschitz=1.0 / math.sqrt(d))

@@ -40,7 +40,6 @@ from .volume import (
     small_radius_hull_bound,
 )
 from .fooling import (
-    ProfileP,
     fooling_c0,
     fooling_c1,
     fooling_cinf,

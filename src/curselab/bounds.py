@@ -25,7 +25,6 @@ from fractions import Fraction
 from scipy.special import gammaln
 
 __all__ = [
-    "LevelRule",
     "TailRule",
     "SmoothnessProfile",
     "BoundReport",
@@ -50,6 +49,9 @@ __all__ = [
 GRADIENT_CUBE_L0 = 400.0
 GRADIENT_CUBE_L1 = 16.0e5
 
+# 3 sqrt(2 e pi): L sqrt(d) over it is the base of the Lipschitz lower bound.
+_THREE_SQRT_2_E_PI = 3.0 * math.sqrt(2.0 * math.e * math.pi)
+
 
 def exp_or_inf(log_value: float) -> float:
     """exp(log_value), or inf where that exceeds the float range."""
@@ -61,17 +63,6 @@ def exp_or_inf(log_value: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Smoothness profiles
-
-
-@dataclass(frozen=True)
-class LevelRule:
-    """One derivative order: ln L_{j,d} = log_constant + d_exponent * ln d."""
-
-    log_constant: float
-    d_exponent: float
-
-    def log_value(self, d: int) -> float:
-        return self.log_constant + self.d_exponent * math.log(d)
 
 
 @dataclass(frozen=True)
@@ -110,15 +101,18 @@ class TailRule:
 class SmoothnessProfile:
     """Symbolic double sequence of Lipschitz bounds L_{j,d}.
 
-    ``derivative_kind`` records whether the bounds constrain directional
-    derivatives (multilinear-map norms) or only partial derivatives;
-    partial profiles embed into directional ones at the price of a
-    ``d^{j/2}`` factor per order.
+    ``levels`` holds one ``(log_constant, d_exponent)`` pair per order,
+    ln L_{j,d} = log_constant + d_exponent * ln d: orders 0..k of a
+    finite profile, order 0 alone of an infinite one, whose orders
+    j >= 1 follow ``tail``.  ``derivative_kind`` records whether the
+    bounds constrain directional derivatives (multilinear-map norms) or
+    only partial derivatives; partial profiles embed into directional
+    ones at the price of a ``d^{j/2}`` factor per order.
     """
 
     k: float  # number of derivative orders; math.inf allowed
     derivative_kind: str  # "directional" | "partial"
-    levels: tuple[LevelRule, ...] = field(default=())
+    levels: tuple[tuple[float, float], ...] = field(default=())
     tail: TailRule | None = None
 
     def __post_init__(self):
@@ -140,10 +134,8 @@ class SmoothnessProfile:
         levels: list[tuple[float, float]], derivative_kind: str = "directional"
     ) -> "SmoothnessProfile":
         """Build from (constant, d_exponent) pairs for j = 0 .. k."""
-        rules = tuple(LevelRule(math.log(c), e) for c, e in levels)
-        return SmoothnessProfile(
-            k=len(levels) - 1, derivative_kind=derivative_kind, levels=rules
-        )
+        return SmoothnessProfile(k=len(levels) - 1, derivative_kind=derivative_kind,
+                                 levels=tuple((math.log(c), e) for c, e in levels))
 
     @staticmethod
     def infinite(
@@ -155,7 +147,7 @@ class SmoothnessProfile:
         return SmoothnessProfile(
             k=math.inf,
             derivative_kind=derivative_kind,
-            levels=(LevelRule(math.log(c0), e0),),
+            levels=((math.log(c0), e0),),
             tail=tail,
         )
 
@@ -164,7 +156,8 @@ class SmoothnessProfile:
         if j < 0 or j > self.k:
             raise ValueError(f"order {j} outside profile range")
         if j == 0 or (not math.isinf(self.k)):
-            return self.levels[j].log_value(d)
+            log_constant, d_exponent = self.levels[j]
+            return log_constant + d_exponent * math.log(d)
         return self.tail.log_value(j, d)
 
     def value(self, j: int, d: int) -> float:
@@ -174,7 +167,7 @@ class SmoothnessProfile:
         if j < 0 or j > self.k:
             raise ValueError(f"order {j} outside profile range")
         if j == 0 or (not math.isinf(self.k)):
-            return self.levels[j].d_exponent
+            return self.levels[j][1]
         return self.tail.d_exponent(j)
 
     def to_json_dict(self, d: int) -> dict:
@@ -223,7 +216,7 @@ def lb_lipschitz(eps: float, d: int, lip: float, a: float = 1.0) -> BoundReport:
         return _failed(rule, "lower", f"requires eps in (0, 1/a), got eps={eps}, a={a}")
     if lip <= 0.0 or d < 1:
         return _failed(rule, "lower", "requires lip > 0 and d >= 1")
-    base = a * lip * math.sqrt(d) / (3.0 * math.sqrt(2.0 * math.e * math.pi))
+    base = a * lip * math.sqrt(d) / _THREE_SQRT_2_E_PI
     return _met(rule, "lower", math.log1p(-a * eps) + d * math.log(base), base=base)
 
 
@@ -453,10 +446,10 @@ _HULL_FAMILIES = ("cube", "small_radius")
 
 def _curse_witness(profile: SmoothnessProfile) -> dict:
     """Constants (c, gamma, eps0) of the exponential lower bound."""
-    c0 = math.exp(profile.levels[0].log_constant)
+    c0 = math.exp(profile.levels[0][0])
     if profile.k == 0:
         # Scale the class so the base becomes 2: a = 2 * 3 sqrt(2 e pi) / c0.
-        a = max(1.0, 2.0 * 3.0 * math.sqrt(2.0 * math.e * math.pi) / c0)
+        a = max(1.0, 2.0 * _THREE_SQRT_2_E_PI / c0)
         return {"c": 0.5, "gamma": 1.0, "eps0": 1.0 / (2.0 * a), "scale": a}
     return {"c": 0.5, "gamma": 1.0 / 7.0, "eps0": 0.5, "base": 8.0 / 7.0}
 

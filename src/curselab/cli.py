@@ -236,15 +236,15 @@ def _run_gamma(v, name: str, gc: vol.GammaConstant):
 
 def _run_p_star(v):
     root = geo.solve_p_star()
-    residual = geo.p_star_lhs(root) - math.sqrt(math.pi * math.e / 2.0)
+    residual = geo.p_star_lhs(root) - geo.SQRT_HALF_PI_E
     return {"constant": "p_star", "pass": True,
             **tagged("solver", value=root, residual=residual)}, None
 
 
 def _run_radius(v):
-    nr = geo.lp_normalized_radius(v["p"], v["d"])
-    return {"constant": "radius", "pass": True,
-            **tagged("formula", p=nr.p, d=nr.d, value=nr.value, ratio=nr.ratio)}, None
+    value = geo.lp_normalized_radius(v["p"], v["d"])
+    return {"constant": "radius", "pass": True, **tagged(
+        "formula", p=v["p"], d=v["d"], value=value, ratio=value / math.sqrt(v["d"]))}, None
 
 
 def _run_limit_ratio(v):
@@ -273,8 +273,8 @@ def _run_volume(v):
         "domain": v["domain"],
         "bound_source": est.bound_source,
         "pass": est.passed,
-        **tagged("formula", d=v["d"], n_points=ps.n, delta=v["delta"], samples=est.samples,
-                 seed=est.seed, bound_log=est.bound_log),
+        **tagged("formula", d=v["d"], n_points=ps.n, delta=v["delta"], samples=v["samples"],
+                 seed=v["seed"], bound_log=est.bound_log),
         **tagged("monte_carlo", mean=est.mean, half_width_95=est.half_width_95),
     }
     return results, [(v["delta"], est.mean, est.bound)]
@@ -297,8 +297,8 @@ def _run_taylor(v):
 
 
 class _Sweep(NamedTuple):
-    """A bounds sweep, emitted as CSV; ``unmet`` counts rows whose
-    preconditions fail."""
+    """A bounds run given ``--d-list`` or ``--eps-list`` (of any length),
+    emitted as CSV; ``unmet`` counts rows whose preconditions fail."""
 
     header: list[str]
     rows: list[list]
@@ -309,7 +309,7 @@ def _run_bounds(v, build):
     d_values = v.get("d_list") or [v["d"]]
     eps_values = v.get("eps_list") or [v.get("eps")]
     reports = [((d, eps), build(v, d, eps)) for d in d_values for eps in eps_values]
-    if len(reports) > 1:
+    if "d_list" in v or "eps_list" in v:
         header = ["d", "eps", "log_value", "value", "preconditions_met", "rule"]
         rows = [[d, "" if eps is None else eps, r.log_value, bd.exp_or_inf(r.log_value),
                  r.preconditions_met, r.rule] for (d, eps), r in reports]
@@ -388,9 +388,10 @@ class Mode(NamedTuple):
     """One mode of a subcommand; flags are named by destination.
 
     ``reads`` lists the flags the mode reads, besides those that select
-    it; ``switch`` names a store_true flag and the flags the mode reads
-    only while it is set.  ``requires`` lists the flags that must be
-    given, ``a|b`` for exactly one of ``--a`` and ``--b``.
+    it; ``switch`` names a store_true flag, which the mode reads set or
+    not, and the flags it reads only while that flag is set.  ``requires``
+    lists the flags that must be given, ``a|b`` for exactly one of ``--a``
+    and ``--b``.
     """
 
     reads: str
@@ -399,8 +400,8 @@ class Mode(NamedTuple):
     switch: tuple[str, str] | None = None
 
     def flags_read(self, switched: bool) -> set[str]:
-        extra = self.switch[1] if self.switch and switched else ""
-        return set(self.reads.split()) | set(extra.split())
+        flag, extra = self.switch or ("", "")
+        return set(f"{self.reads} {flag} {extra if switched else ''}".split())
 
 
 class Command(NamedTuple):
@@ -536,7 +537,7 @@ _COMMANDS = {
         label="--algorithm {key}",
         modes={
             "taylor": Mode("d j amplitude a_norm max_evals seed", "seed d j", _run_taylor,
-                           switch=("fd", "fd h")),
+                           switch=("fd", "h")),
             "one-point": Mode(
                 "d lipschitz samples seed", "seed d",
                 lambda v: (checks.one_point_check_c0(v["d"], _lipschitz(v), v["samples"],
@@ -568,7 +569,7 @@ _COMMANDS = {
             "one-point-c0": _bound(
                 "lip big_r tail", "",
                 lambda v, d, eps: bd.ub_one_point_c0(v["lip"], d, v["big_r"], v["tail"])),
-            "one-point-c1": _bound("lip_grad diam ball_variant", "", _one_point_c1,
+            "one-point-c1": _bound("lip_grad diam", "", _one_point_c1,
                                    switch=("ball_variant", "big_r tail")),
             "taylor-upper": _bound(
                 "j lip big_r", "",

@@ -43,7 +43,6 @@ from .hull import (
 from .rng import _BLOCK_ENTRIES, mc_mean
 
 __all__ = [
-    "ProfileP",
     "profile_eval",
     "AlphaSequence",
     "make_alpha_sequence",
@@ -63,43 +62,28 @@ __all__ = [
 # The scalar ramp profile
 
 
-@dataclass(frozen=True)
-class ProfileP:
-    """C^1 ramp p with p(0)=0 and p=1 beyond delta^2 d.
+def profile_eval(delta: float, d: int, t):
+    """Value and derivative of the C^1 ramp p; accepts scalars or arrays.
 
-    Piecewise: linear up to delta^2 d / 4, then a square-root blend to
-    one at delta^2 d.  The two pieces match in value and derivative at
-    the breakpoints, so p is continuously differentiable; the second
-    derivative jumps there.  sup 2 sqrt(t) p'(t) = 2/(delta sqrt(d))
-    and Lip(p') <= 8/(delta^4 d^2).
+    p(0) = 0 and p = 1 beyond delta^2 d.  Piecewise: linear up to
+    delta^2 d / 4, then a square-root blend to one at delta^2 d.  The two
+    pieces match in value and derivative at the breakpoints, so p is
+    continuously differentiable; the second derivative jumps there.
+    sup 2 sqrt(t) p'(t) = 2/(delta sqrt(d)) and Lip(p') <= 8/(delta^4 d^2).
     """
-
-    delta: float
-    d: int
-
-    def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
-        if self.d < 1:
-            raise ValueError("d must be a positive integer")
-
-    @property
-    def breakpoints(self) -> tuple[float, float]:
-        t2 = self.delta * self.delta * self.d
-        return (t2 / 4.0, t2)
-
-
-def profile_eval(pp: ProfileP, t):
-    """Value and derivative of the ramp; accepts scalars or arrays."""
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
+    if d < 1:
+        raise ValueError("d must be a positive integer")
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise ValueError("t must be non-negative")
-    t1, t2 = pp.breakpoints
+    t2 = delta * delta * d
     slope = 2.0 / t2
     value = np.empty_like(t_arr)
     deriv = np.empty_like(t_arr)
 
-    low = t_arr <= t1
+    low = t_arr <= t2 / 4.0
     high = t_arr >= t2
     mid = ~(low | high)
     value[low] = slope * t_arr[low]
@@ -109,8 +93,8 @@ def profile_eval(pp: ProfileP, t):
     if np.any(mid):
         tm = t_arr[mid]
         root = np.sqrt(tm)
-        value[mid] = -slope * tm + 4.0 * root / (pp.delta * math.sqrt(pp.d)) - 1.0
-        deriv[mid] = -slope + 2.0 / (pp.delta * math.sqrt(pp.d) * root)
+        value[mid] = -slope * tm + 4.0 * root / (delta * math.sqrt(d)) - 1.0
+        deriv[mid] = -slope + 2.0 / (delta * math.sqrt(d) * root)
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(value), float(deriv)
     return value, deriv
@@ -341,7 +325,7 @@ def fooling_eval_batch(
     values[one] = 1.0
     ramp = np.flatnonzero(proj.distance - r > 0.0)
     gap = proj.distance[ramp] - r
-    value, deriv = profile_eval(ProfileP(f.delta, hull.d), gap * gap)
+    value, deriv = profile_eval(f.delta, hull.d, gap * gap)
     values[rows[ramp]] = value
     if not gradients:
         return FoolingValues(values, None, proj, rows)

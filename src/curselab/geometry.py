@@ -24,7 +24,6 @@ from .bounds import exp_or_inf
 
 __all__ = [
     "DomainSpec",
-    "NormalizedRadius",
     "lp_unit_ball_volume",
     "lp_unit_ball_volume_log",
     "lp_normalized_radius",
@@ -32,11 +31,15 @@ __all__ = [
     "solve_p_star",
     "p_star_lhs",
     "SMALL_RADIUS_THRESHOLD",
+    "SQRT_HALF_PI_E",
 ]
 
 #: Ratio threshold below which hull neighborhoods shrink exponentially:
 #: sqrt(2 / (pi * e)) ~ 0.4839.
 SMALL_RADIUS_THRESHOLD = math.sqrt(2.0 / (math.pi * math.e))
+
+#: sqrt(pi e / 2) ~ 2.0664: the small-radius bound's base factor, p*'s target.
+SQRT_HALF_PI_E = math.sqrt(math.pi * math.e / 2.0)
 
 
 def _check_p(p: float) -> float:
@@ -69,16 +72,6 @@ def lp_unit_ball_volume(p: float, d: int) -> float:
     return exp_or_inf(lp_unit_ball_volume_log(p, d))
 
 
-@dataclass(frozen=True)
-class NormalizedRadius:
-    """Euclidean radius of the volume-one lp ball, with its sqrt(d) ratio."""
-
-    p: float
-    d: int
-    value: float
-    ratio: float
-
-
 def _lp_scale_log(p: float, d: int) -> float:
     """ln of the lp-norm scaling factor that makes the lp ball volume one."""
     if math.isinf(p):
@@ -86,21 +79,19 @@ def _lp_scale_log(p: float, d: int) -> float:
     return (gammaln(1.0 + d / p) / d) - math.log(2.0) - gammaln(1.0 + 1.0 / p)
 
 
-def lp_normalized_radius(p: float, d: int) -> NormalizedRadius:
-    """Euclidean radius of the lp ball rescaled to volume one.
+def lp_normalized_radius(p: float, d: int) -> float:
+    """Euclidean radius R_d of the lp ball rescaled to volume one.
 
     The scaling factor in the lp norm is Gamma(1+d/p)^(1/d) / (2 Gamma(1+1/p));
     the farthest point of the scaled ball from the origin lies a factor
-    d^{max(0, 1/2 - 1/p)} further away in the Euclidean norm.
+    d^{max(0, 1/2 - 1/p)} further away in the Euclidean norm.  R_d / sqrt(d)
+    is the ratio whose large-d limit :func:`radius_limit_ratio` gives.
     """
     p = _check_p(p)
     d = _check_d(d)
     if math.isinf(p):
-        value = math.sqrt(d) / 2.0
-    else:
-        log_value = _lp_scale_log(p, d) + max(0.0, 0.5 - 1.0 / p) * math.log(d)
-        value = math.exp(log_value)
-    return NormalizedRadius(p=p, d=d, value=value, ratio=value / math.sqrt(d))
+        return math.sqrt(d) / 2.0
+    return math.exp(_lp_scale_log(p, d) + max(0.0, 0.5 - 1.0 / p) * math.log(d))
 
 
 def radius_limit_ratio(p: float) -> float:
@@ -130,10 +121,8 @@ def solve_p_star() -> float:
     then returns the end with the smaller residual, which must be below
     1e-10.
     """
-    target = math.sqrt(math.pi * math.e / 2.0)
-
     def residual(p: float) -> float:
-        return p_star_lhs(p) - target
+        return p_star_lhs(p) - SQRT_HALF_PI_E
 
     lo, hi = 2.0, 1e6
     f_lo, f_hi = residual(lo), residual(hi)
@@ -185,13 +174,12 @@ class DomainSpec:
     def lp_ball(p: float, d: int) -> "DomainSpec":
         p = _check_p(p)
         d = _check_d(d)
-        rad = lp_normalized_radius(p, d)
         return DomainSpec(
             kind="lp_ball",
             d=d,
             p=p,
             center=np.zeros(d),
-            radius=rad.value,
+            radius=lp_normalized_radius(p, d),
             lp_scale=0.5 if math.isinf(p) else math.exp(_lp_scale_log(p, d)),
         )
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 from scipy.special import dawsn, erf, log_ndtr
 
 from .bounds import exp_or_inf
-from .geometry import DomainSpec
+from .geometry import SQRT_HALF_PI_E, DomainSpec
 from .hull import PointSet, within_distance
 from .rng import Z95, mc_mean
 
@@ -186,7 +186,7 @@ def small_radius_hull_bound(n: int, d: int, radius_ratio: float, delta: float) -
         raise ValueError("radius_ratio must be positive")
     if delta < 0.0:
         raise ValueError("delta must be non-negative")
-    base = (radius_ratio + 2.0 * delta) * math.sqrt(math.pi * math.e / 2.0)
+    base = (radius_ratio + 2.0 * delta) * SQRT_HALF_PI_E
     return math.log(n) + d * math.log(base)
 
 
@@ -221,8 +221,6 @@ class VolumeEstimate:
 
     mean: float
     half_width_95: float
-    samples: int
-    seed: int
     bound_log: float
     bound_source: str  # "small_radius" | "cube"
 
@@ -275,5 +273,5 @@ def mc_hull_neighborhood_volume(
     # hits / n, so rounding recovers the integer count.
     hits = round(mc_mean(draw, seed, n_samples, threads).mean * n_samples)
     half = binomial_half_width(hits, n_samples)
-    return VolumeEstimate(hits / n_samples, half, n_samples, seed, bound_log, source)
+    return VolumeEstimate(hits / n_samples, half, bound_log, source)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from curselab import cli
 from curselab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -253,6 +254,8 @@ def test_fool_check_rejects_empty_sample_counts(capsys, argv, count):
      "classify --k inf does not read --levels"),
     (["bounds", "--which", "one-point-c1", "--d", "4", "--big-r", "1"],
      "bounds --which one-point-c1 without --ball-variant does not read --big-r"),
+    (["bounds", "--which", "lipschitz-lower", "--d", "10", "--eps", "0.5", "--ball-variant"],
+     "bounds --which lipschitz-lower does not read --ball-variant"),
 ])
 def test_flags_the_mode_does_not_read_are_refused(capsys, argv, message):
     code, err = _one_line_error(capsys, argv)
@@ -509,6 +512,28 @@ def test_bounds_sweep_reports_unmet_preconditions_per_row(tmp_path):
     assert code == 2
     rows = [line.split(",") for line in text.decode().splitlines()[1:]]
     assert [row[4] for row in rows] == ["True", "False"]
+
+
+@pytest.mark.parametrize("lists", [["--d-list", "7", "--eps", "0.5"],
+                                   ["--d", "7", "--eps-list", "0.5"]])
+def test_bounds_one_entry_list_is_a_sweep(tmp_path, lists):
+    code, text = run_cli(["bounds", "--which", "lipschitz-lower", *lists], tmp_path, "sweep.csv")
+    assert code == 0
+    lines = text.decode().splitlines()
+    assert lines[0] == "d,eps,log_value,value,preconditions_met,rule"
+    assert len(lines) == 2 and lines[1].startswith("7,0.5,")
+
+
+def test_bounds_one_entry_sweep_outside_its_domain_reports_the_row(tmp_path, capsys):
+    code, text = run_cli(
+        ["bounds", "--which", "lipschitz-lower", "--d-list", "10", "--eps-list", "2"],
+        tmp_path, "sweep.csv",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "curselab: check failed: preconditions_met is false in 1 of 1 rows\n"
+    rows = [line.split(",") for line in text.decode().splitlines()[1:]]
+    assert [row[4] for row in rows] == ["False"]
 
 
 def test_classify_finite_profile(tmp_path):
@@ -795,6 +820,41 @@ def _readme_examples() -> list[list[str]]:
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("curselab ")]
+
+
+def _as_config(argv: list[str], path: Path) -> list[str]:
+    """argv with its flags moved into a config file at ``path``; the switch of
+    the selected mode, when argv leaves it unset, is written as ``false``."""
+    command = cli._COMMANDS[argv[0]]
+    lines, rest = [], argv[1:]
+    while rest:
+        flag, rest = rest[0][2:], rest[1:]
+        if rest and not rest[0].startswith("--"):
+            lines.append(f"{flag}={rest[0]}")
+            rest = rest[1:]
+        else:
+            lines.append(f"{flag}=true")
+    if isinstance(command.select, str):
+        select = cli._flag(command.select)
+        key = (argv[argv.index(select) + 1] if select in argv
+               else cli._flags(command)[command.select]["default"])
+        switch = command.modes[key].switch
+        if switch and cli._flag(switch[0]) not in argv:
+            lines.append(f"{switch[0]}=false")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return [argv[0], "--config", str(path)]
+
+
+_TAYLOR = ["quad", "--algorithm", "taylor", "--d", "4", "--j", "2", "--seed", "3"]
+
+
+@pytest.mark.parametrize("argv", _readme_examples() + [_TAYLOR, _TAYLOR + ["--fd"]],
+                         ids=lambda argv: " ".join(argv[:3]) + " --fd" * ("--fd" in argv))
+def test_flags_moved_into_a_config_file_print_the_same(tmp_path, capsys, argv):
+    assert main(argv + ["--out", "-"]) == 0
+    flags = capsys.readouterr()
+    assert main(_as_config(argv, tmp_path / "run.cfg") + ["--out", "-"]) == 0
+    assert capsys.readouterr() == flags
 
 
 def test_readme_lists_its_examples():

@@ -83,9 +83,10 @@ def _argv(draw, name: str, key: str, points_csv: str) -> list[str]:
         argv += ["--k", "inf" if key == "inf" else draw(st.sampled_from(["0", "1", "-1", "1.5"]))]
         selected.add("k")
     switched = bool(mode.switch) and draw(st.booleans())
+    if mode.switch:  # a switch is given bare or not at all, never with a value
+        selected.add(mode.switch[0])
     if switched:
         argv.append(cli._flag(mode.switch[0]))
-        selected.add(mode.switch[0])
     dests = mode.flags_read(switched) | set(mode.requires.replace("|", " ").split())
     dests |= {"threads"} | selected
     for dest in sorted(dests - {"out", "plot_data", "config"}):

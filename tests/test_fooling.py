@@ -20,39 +20,42 @@ def small_hull():
 # Ramp profile
 
 
+def _breakpoints(delta, d):
+    """Where the ramp's linear piece ends and where it reaches one."""
+    t2 = delta * delta * d
+    return t2 / 4.0, t2
+
+
 def test_profile_boundary_values():
-    pp = fooling.ProfileP(0.3, 2)
-    t1, t2 = pp.breakpoints
+    t1, t2 = _breakpoints(0.3, 2)
     assert (t1, t2) == (0.3**2 * 2 / 4, 0.3**2 * 2)
-    v0, d0 = fooling.profile_eval(pp, 0.0)
+    v0, d0 = fooling.profile_eval(0.3, 2, 0.0)
     assert v0 == 0.0
     assert d0 == pytest.approx(2.0 / (0.3**2 * 2))
-    v2, d2 = fooling.profile_eval(pp, t2)
+    v2, d2 = fooling.profile_eval(0.3, 2, t2)
     assert (v2, d2) == (1.0, 0.0)
 
 
 def test_profile_pieces_agree_at_first_breakpoint():
-    pp = fooling.ProfileP(0.2, 5)
-    t1, t2 = pp.breakpoints
-    v, d = fooling.profile_eval(pp, t1)
+    t1, t2 = _breakpoints(0.2, 5)
+    v, d = fooling.profile_eval(0.2, 5, t1)
     assert v == pytest.approx(0.5, rel=1e-12)
     assert d == pytest.approx(2.0 / t2, rel=1e-12)
     # Evaluate the middle piece just above the breakpoint by hand.
     t = t1 * (1.0 + 1e-9)
     v_mid = -2.0 * t / t2 + 4.0 * math.sqrt(t) / (0.2 * math.sqrt(5)) - 1.0
-    assert fooling.profile_eval(pp, t)[0] == pytest.approx(v_mid, rel=1e-12)
+    assert fooling.profile_eval(0.2, 5, t)[0] == pytest.approx(v_mid, rel=1e-12)
 
 
 def test_profile_gradient_speed_bound():
     # sup over t of 2 sqrt(t) p'(t) equals 2 / (delta sqrt(d)).
-    pp = fooling.ProfileP(0.17, 7)
-    t1, t2 = pp.breakpoints
+    t1, t2 = _breakpoints(0.17, 7)
     grid = np.concatenate([
         np.linspace(0.0, t1, 300),
         np.linspace(t1, t2, 600),
         np.linspace(t2, 2.0 * t2, 100),
     ])
-    _, derivs = fooling.profile_eval(pp, grid)
+    _, derivs = fooling.profile_eval(0.17, 7, grid)
     speeds = 2.0 * np.sqrt(grid) * derivs
     bound = 2.0 / (0.17 * math.sqrt(7))
     assert float(speeds.max()) <= bound * (1.0 + 1e-12)
@@ -60,25 +63,22 @@ def test_profile_gradient_speed_bound():
 
 
 def test_profile_derivative_lipschitz_bound():
-    pp = fooling.ProfileP(0.25, 3)
-    t1, t2 = pp.breakpoints
+    t1, t2 = _breakpoints(0.25, 3)
     grid = np.linspace(1e-9, 1.5 * t2, 4000)
-    _, derivs = fooling.profile_eval(pp, grid)
+    _, derivs = fooling.profile_eval(0.25, 3, grid)
     quotients = np.abs(np.diff(derivs)) / np.diff(grid)
     assert float(quotients.max()) <= 8.0 / (0.25**4 * 9) * (1.0 + 1e-6)
 
 
 def test_profile_rejects_negative_argument():
-    pp = fooling.ProfileP(0.3, 2)
     with pytest.raises(ValueError):
-        fooling.profile_eval(pp, -0.1)
+        fooling.profile_eval(0.3, 2, -0.1)
 
 
 @given(t=st.floats(0.0, 1.0), delta=st.floats(0.05, 0.5), d=st.integers(1, 30))
 @settings(max_examples=100, deadline=None)
 def test_profile_range_and_monotone(t, delta, d):
-    pp = fooling.ProfileP(delta, d)
-    v, dv = fooling.profile_eval(pp, t)
+    v, dv = fooling.profile_eval(delta, d, t)
     assert 0.0 <= v <= 1.0
     assert dv >= 0.0
 
@@ -208,7 +208,7 @@ def _full_projection_c1(ps, points, delta):
     values = np.zeros(len(points))
     ramp = np.flatnonzero(proj.distance - r > 0.0)
     gap = proj.distance[ramp] - r
-    value, deriv = fooling.profile_eval(fooling.ProfileP(delta, ps.d), gap * gap)
+    value, deriv = fooling.profile_eval(delta, ps.d, gap * gap)
     values[ramp] = value
     grads = np.zeros(points.shape)
     moving = deriv != 0.0

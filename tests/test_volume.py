@@ -283,8 +283,6 @@ def test_volume_estimate_passes_below_bound():
     est = volume.VolumeEstimate(
         mean=0.25,
         half_width_95=0.01,
-        samples=1000,
-        seed=7,
         bound_log=math.log(0.5),
         bound_source="cube",
     )
