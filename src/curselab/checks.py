@@ -26,7 +26,7 @@ from .fooling import (
     smoothed_eval,
 )
 from .geometry import DomainSpec
-from .hull import PointSet, project_batch, within_distance
+from .hull import PointSet, project_batch, slide_toward, within_distance
 from .quadrature import (
     Integrand,
     make_sine_integrand,
@@ -242,8 +242,7 @@ def fool_check_c1(
         targets = r * (1.0 + rng_grad.uniform(0.3, 0.7, size=4 * _GRAD_POINTS))
         proj = project_batch(ps, anchors)
         far = proj.distance > targets
-        u = (anchors[far] - proj.nearest[far]) / proj.distance[far, None]
-        points = proj.nearest[far] + targets[far, None] * u
+        points = slide_toward(proj.nearest[far], proj.distance[far], anchors[far], targets[far])
         # Distances and active sets come from the evaluations' own
         # projections, indexed by projection row; mid-ramp points are
         # never settled by the distance bracket, so they are all there.

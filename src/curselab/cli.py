@@ -17,8 +17,9 @@ provenance tag (``formula``, ``monte_carlo`` or ``solver``).  Runs are
 fully determined by their configuration: the same flags (or config
 file) produce byte-identical output for any ``--threads`` value.
 
-Exit codes: 0 success, 1 invalid configuration, 2 a checked inequality
-failed, 3 internal numerical failure.  Every non-zero exit writes one
+Exit codes: 0 success, 1 invalid configuration (a run that needs more
+memory than is available included), 2 a checked inequality failed, 3
+internal numerical failure.  Every non-zero exit writes one
 line to stderr; exit 2 writes the full report first, and its line names
 the checks that failed.
 """
@@ -698,6 +699,9 @@ def main(argv: list[str] | None = None) -> int:
     except (HullIterationError, FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"curselab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError:  # its message may be empty
+        print("curselab: error: the run needs more memory than is available", file=sys.stderr)
+        return EXIT_INVALID
     if failed:
         print(f"curselab: check failed: {failed}", file=sys.stderr)
         return EXIT_VIOLATED

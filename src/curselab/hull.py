@@ -159,32 +159,15 @@ _TOL = 1e-10
 _CYCLES_PER_ENTRY = 50
 
 
-def _affine_minimizer(gram: np.ndarray) -> np.ndarray:
-    """Coefficients minimizing ||sum a_i q_i|| subject to sum a_i = 1."""
-    m = gram.shape[0]
-    kkt = np.zeros((m + 1, m + 1))
-    kkt[:m, :m] = gram
-    kkt[:m, m] = 1.0
-    kkt[m, :m] = 1.0
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-        if not np.all(np.isfinite(sol)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    return sol[:m]
-
-
 def _affine_minimizers(pts: np.ndarray, x: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Affine minimizers of every row's active set, dense and zero off it.
 
     The active columns of each row are gathered into one (m+1)-square
     KKT system per row, m the largest active count; padding rows are
-    identity rows, so their coefficients come out as zero.  A row whose
-    solve fails or is not finite is solved alone by
-    :func:`_affine_minimizer`, which falls back to least squares.
+    identity rows, so their coefficients come out as zero.  The rows
+    whose solve fails or is not finite are solved again, in one call,
+    by the pseudoinverse of their systems: the least-squares solution
+    of least norm, as ``lstsq(rcond=None)`` gives it.
     """
     b, n = active.shape
     m = int(active.sum(axis=1).max())
@@ -202,17 +185,15 @@ def _affine_minimizers(pts: np.ndarray, x: np.ndarray, active: np.ndarray) -> np
     rhs = np.zeros((b, m + 1, 1))
     rhs[:, m, 0] = 1.0
     try:
-        sol = np.linalg.solve(kkt, rhs)[:, :m, 0]
-        redo = np.flatnonzero(~np.all(np.isfinite(sol), axis=1))
+        sol = np.linalg.solve(kkt, rhs)
+        redo = ~np.all(np.isfinite(sol[:, :m, 0]), axis=1)
     except np.linalg.LinAlgError:
-        sol = np.zeros((b, m))
-        redo = np.arange(b)
-    for i in redo:
-        cols = np.flatnonzero(valid[i])
-        sol[i] = 0.0
-        sol[i, cols] = _affine_minimizer(kkt[i][np.ix_(cols, cols)])
+        sol = np.empty_like(rhs)
+        redo = np.ones(b, dtype=bool)
+    if redo.any():
+        sol[redo] = np.linalg.pinv(kkt[redo], hermitian=True, rtol=None) @ rhs[redo]
     a = np.zeros((b, n))
-    a[row, order] = np.where(valid, sol, 0.0)
+    a[row, order] = np.where(valid, sol[:, :m, 0], 0.0)
     return a
 
 
@@ -292,6 +273,16 @@ def _wolfe_block(ps: PointSet, queries: np.ndarray, max_iter: int):
     return distance, weights, active, iterations, gap, stalled
 
 
+def _as_queries(ps: PointSet, queries) -> np.ndarray:
+    """``queries`` as an (m, d) float array; one point is a batch of one."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    if queries.ndim != 2 or queries.shape[1] != ps.d:
+        raise ValueError(
+            f"queries have dimension {queries.shape[-1]}, expected {ps.d}"
+        )
+    return queries
+
+
 def project_batch(ps: PointSet, queries: np.ndarray) -> BatchProjection:
     """Project every row of ``queries`` onto the hull of ``ps``.
 
@@ -303,35 +294,18 @@ def project_batch(ps: PointSet, queries: np.ndarray) -> BatchProjection:
     :class:`HullIterationError` when a query exceeds
     ``_CYCLES_PER_ENTRY * n * d`` major/minor cycles.
     """
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    if queries.ndim != 2 or queries.shape[1] != ps.d:
-        raise ValueError(
-            f"queries have dimension {queries.shape[-1]}, expected {ps.d}"
-        )
+    queries = _as_queries(ps, queries)
     max_iter = _CYCLES_PER_ENTRY * ps.n * ps.d
-    m = queries.shape[0]
-    out = (
-        np.empty(m),
-        np.empty((m, ps.n)),
-        np.empty((m, ps.n), dtype=bool),
-        np.empty(m, dtype=np.int64),
-        np.empty(m),
-        np.empty(m, dtype=bool),
-    )
     block = max(1, min(_BLOCK, _BLOCK_ELEMENTS // (ps.n * ps.d)))
-    for lo in range(0, m, block):
-        parts = _wolfe_block(ps, queries[lo:lo + block], max_iter)
-        for dest, part in zip(out, parts):
-            dest[lo:lo + block] = part
-    return BatchProjection(ps.points, *out)
+    # At least one block, so that zero queries give empty outputs of the right shapes.
+    parts = [_wolfe_block(ps, queries[lo:lo + block], max_iter)
+             for lo in range(0, max(len(queries), 1), block)]
+    return BatchProjection(ps.points, *map(np.concatenate, zip(*parts)))
 
 
 def project_onto_hull(x: np.ndarray, ps: PointSet) -> HullProjection:
     """Project ``x`` onto the convex hull of ``ps``: a batch of one."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != ps.d:
-        raise ValueError(f"query has dimension {x.shape[0]}, expected {ps.d}")
-    res = project_batch(ps, x[None, :])
+    res = project_batch(ps, np.ravel(x))
     support = np.flatnonzero(res.active[0])
     return HullProjection(
         nearest=res.nearest[0],
@@ -344,13 +318,14 @@ def project_onto_hull(x: np.ndarray, ps: PointSet) -> HullProjection:
     )
 
 
-def slide_toward(nearest, distance, x, r: float) -> np.ndarray:
+def slide_toward(nearest, distance, x, r) -> np.ndarray:
     """Points at distance ``r`` from hull projections, toward their queries.
 
     Every point of the segment from a query ``x`` to its hull projection
     ``nearest`` has that projection, so for ``distance > r`` this is the
     nearest point of the r-neighborhood of the hull.  Accepts one query
-    or a batch (rows of ``x`` and ``nearest``, entries of ``distance``).
+    or a batch (rows of ``x`` and ``nearest``, entries of ``distance``
+    and of ``r``, or one ``r`` for all).
     """
     scale = r / np.asarray(distance, dtype=float)
     return nearest + scale[..., None] * (x - nearest)
@@ -474,9 +449,7 @@ def within_distance(ps: PointSet, queries: np.ndarray, r: float) -> np.ndarray:
     so the mask agrees with the solver (:func:`project_batch`) on every
     query it did not stall on.
     """
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    if queries.shape[1] != ps.d:
-        raise ValueError("query dimension mismatch")
+    queries = _as_queries(ps, queries)
     if r < 0.0:
         raise ValueError("r must be non-negative")
     inside, _, rows, proj = bracket(ps, queries, r, r)

@@ -283,6 +283,21 @@ def _even_multi_indices(d: int, j: int) -> np.ndarray:
     return columns.T
 
 
+def _stencil_bound(d: int, j: int) -> int:
+    """sum_beta prod_i (beta_i + 1) over the even beta with |beta| <= j.
+
+    One coordinate's factors 2g + 1 (beta_i = 2g) have the generating
+    function (1 + x) / (1 - x)^2, so the indices with |beta| = 2m
+    contribute the x^m coefficient of (1 + x)^d (1 - x)^(-2d):
+    sum_{i <= m} C(d, i) C(2d + m - i - 1, m - i).
+    """
+    return sum(
+        math.comb(d, i) * math.comb(2 * d + m - i - 1, m - i)
+        for m in range(j // 2 + 1)
+        for i in range(m + 1)
+    )
+
+
 # Per-component factors of the Taylor weights, indexed by beta_i <= 8.
 _MOMENTS = np.array([cube_moment(b) for b in range(9)])
 _FACTORIALS = np.array([float(math.factorial(b)) for b in range(9)])
@@ -319,10 +334,9 @@ def quad_taylor(
 
     The predicted cost, reported as ``evaluations_cap``, is the number
     of multi-indices, or on the finite-difference path the stencil bound
-    sum_beta prod_i (beta_i + 1).  With ``max_evals`` given,
-    :class:`EvaluationBudgetError` is raised before any evaluation when
-    the prediction exceeds it; the multi-index count is checked before
-    the enumeration.
+    sum_beta prod_i (beta_i + 1), both in closed form.  With
+    ``max_evals`` given, :class:`EvaluationBudgetError` is raised before
+    the multi-indices are enumerated when the prediction exceeds it.
     """
     if dom.kind != "cube":
         raise UnsupportedDomainError(
@@ -331,24 +345,20 @@ def quad_taylor(
     if not 0 <= j <= 8:
         raise ValueError("order j must lie in [0, 8]")
     analytic = f.analytic_partial is not None
-    terms = math.comb(dom.d + j // 2, dom.d)
-    if max_evals is not None and terms > max_evals:
-        raise EvaluationBudgetError(
-            f"the order-{j} Taylor rule in d={dom.d} needs {terms} derivative "
-            f"evaluations, above the budget of {max_evals}"
-        )
-    betas = _even_multi_indices(dom.d, j)
-    cap = terms if analytic else int(_stencil_sizes(betas).sum())
-    # On the analytic path cap == terms, checked above.
+    cap = math.comb(dom.d + j // 2, dom.d) if analytic else _stencil_bound(dom.d, j)
     if max_evals is not None and cap > max_evals:
         raise EvaluationBudgetError(
+            f"the order-{j} Taylor rule in d={dom.d} needs {cap} derivative "
+            f"evaluations, above the budget of {max_evals}"
+            if analytic else
             f"the order-{j} finite-difference Taylor rule in d={dom.d} needs up to "
             f"{cap} stencil evaluations, above the budget of {max_evals}"
         )
+    betas = _even_multi_indices(dom.d, j)
     x_star = dom.center
     if analytic:
         derivs = np.asarray(f.analytic_partial(x_star, betas), dtype=float)
-        used = terms
+        used = cap
     else:
         cache: dict = {}
         derivs = _fd_derivatives(f, x_star, betas, h, dom, cache)

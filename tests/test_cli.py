@@ -763,6 +763,24 @@ def test_quad_zero_dimension_prints_one_line():
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("curselab: error:"), proc.stderr
 
 
+def test_run_beyond_the_address_space_limit_prints_one_line():
+    # 10^8 nodes in d=5 ask numpy for 3.7 GiB; a 3 GiB address-space limit,
+    # set by the child on itself, makes that allocation fail without touching memory.
+    limit = 3 << 30
+    child = ("import resource, runpy; "
+             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+             "runpy.run_module('curselab.cli', run_name='__main__')")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "fool-check", "--variant", "c1", "--d", "5",
+         "--n", "100000000", "--delta", "0.005", "--seed", "1"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "curselab: error: the run needs more memory than is available\n"
+
+
 def test_cli_import_loads_no_scipy_solvers():
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -2,8 +2,11 @@
 
 Argv is drawn from the mode tables themselves, so a mode is covered as
 soon as it is declared.  Float flags take the extreme values below and
-size flags small ones, so that every run stays cheap; memory caps for
-large sizes are a separate question.  Each run must end in an exit code
+size flags small ones, so that every run stays cheap, or 2**63, which
+every flag refuses before it allocates anything: numpy's dimension
+check, a range or budget check, or the exit for a run that needs more
+memory than is available.  Sizes that would make real allocations
+(2**31, say) are left out.  Each run must end in an exit code
 of 0-3, never an escaping exception; a non-zero exit writes exactly
 one stderr line (exit 2 after its report, 1 and 3 instead of one); and
 a result that passes shows no non-finite figure.
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 from curselab import cli
 
 FLOATS = ["0", "-1", "1e-300", "1e300", "inf", "nan"]
-SIZES = ["-1", "0", "1", "2", "3"]
+SIZES = ["-1", "0", "1", "2", "3", str(2**63)]
 SIZE_FLAGS = {"d", "n", "samples", "pairs", "j", "k", "max_evals", "threads", "tail_shift"}
 # Flags with a costly default are always given a small value.
 COST_FLAGS = {"pairs", "samples"}
@@ -205,6 +208,9 @@ def test_every_mode_keeps_the_exit_contract(points_csv, name, key):
      2, "check failed: pass"),
     (["bounds", "--which", "lipschitz-lower", "--d-list", "10", "--eps-list", "0.5,2"],
      2, "preconditions_met is false in 1 of 2 rows"),
+    # A list of 5.6e14 chunk sizes: a MemoryError traceback with an empty message.
+    (["volume", "--domain", "cube", "--d", "5", "--n", "8", "--delta", "0.05",
+      "--samples", str(2**63), "--seed", "1"], 1, "needs more memory than is available"),
 ])
 def test_found_escapes_keep_the_contract(argv, code, needle):
     got, out, err, caught = _run(argv)

@@ -323,17 +323,18 @@ def _batch_case(d, n, seed):
 BATCH_CASES = [(d, n) for d in (1, 2, 5, 20) for n in (1, 2, 8, 16)]
 
 
-@pytest.mark.parametrize("d,n", BATCH_CASES)
-def test_project_batch_matches_scalar_and_nnls(d, n):
-    ps, queries = _batch_case(d, n, seed=100 * d + n)
-    res = hull.project_batch(ps, queries)
+def _references(ps, queries):
+    """Per query: the scalar solver's nearest point and distance, and nnls's distance."""
+    return [(*_scalar_wolfe(x, ps.points), _nnls_distance(ps.points, x)) for x in queries]
+
+
+def _assert_matches_references(ps, queries, res, references):
     assert res.nearest.shape == queries.shape
     assert res.weights.shape == res.active.shape == (len(queries), ps.n)
-    for i, x in enumerate(queries):
-        nearest, distance = _scalar_wolfe(x, ps.points)
+    for i, (nearest, distance, oracle) in enumerate(references):
         assert abs(res.distance[i] - distance) <= 1e-12
         assert np.max(np.abs(res.nearest[i] - nearest)) <= 1e-12
-        assert abs(res.distance[i] - _nnls_distance(ps.points, x)) <= 1e-7
+        assert abs(res.distance[i] - oracle) <= 1e-7
     # Convex weights, zero off the active set, reproducing the nearest point.
     assert np.all(res.weights >= 0.0)
     assert np.all(res.weights[~res.active] == 0.0)
@@ -345,6 +346,32 @@ def test_project_batch_matches_scalar_and_nnls(d, n):
     # Converged queries meet the stopping rule.
     ok = ~res.stalled
     assert np.all(res.gap[ok] <= 1e-10 * (1.0 + res.distance[ok]) * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("d,n", BATCH_CASES)
+def test_project_batch_matches_scalar_and_nnls(d, n):
+    ps, queries = _batch_case(d, n, seed=100 * d + n)
+    res = hull.project_batch(ps, queries)
+    _assert_matches_references(ps, queries, res, _references(ps, queries))
+
+
+@pytest.mark.parametrize("d,n", BATCH_CASES)
+def test_project_batch_least_squares_path(monkeypatch, d, n):
+    # With the stacked solve refused, every KKT system goes to the
+    # pseudoinverse; the projections must not change.
+    ps, queries = _batch_case(d, n, seed=100 * d + n)
+    references = _references(ps, queries)
+    calls = []
+
+    def refuse(a, b):
+        calls.append(len(a))
+        raise np.linalg.LinAlgError("refused")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    res = hull.project_batch(ps, queries)
+    monkeypatch.undo()
+    assert calls or n == 1  # one vertex needs no affine step
+    _assert_matches_references(ps, queries, res, references)
 
 
 @pytest.mark.parametrize("d,n", [(2, 8), (5, 16), (20, 16)])
@@ -402,10 +429,26 @@ def test_project_batch_iteration_cap(monkeypatch):
 
 def test_project_batch_validation():
     ps = hull.PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    with pytest.raises(ValueError):
+    message = "queries have dimension 3, expected 2"
+    with pytest.raises(ValueError, match=message):
         hull.project_batch(ps, np.zeros((3, 3)))
-    empty = hull.project_batch(ps, np.zeros((0, 2)))
-    assert empty.distance.shape == (0,) and empty.weights.shape == (0, 2)
+    with pytest.raises(ValueError, match=message):
+        hull.project_onto_hull(np.zeros(3), ps)
+    with pytest.raises(ValueError, match=message):
+        hull.within_distance(ps, np.zeros((4, 3)), 0.1)
+
+
+def test_project_batch_of_no_queries():
+    ps = hull.PointSet(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    empty = hull.project_batch(ps, np.zeros((0, 3)))
+    assert empty.distance.shape == empty.gap.shape == (0,)
+    assert empty.iterations.shape == empty.stalled.shape == (0,)
+    assert empty.weights.shape == empty.active.shape == (0, 2)
+    assert empty.nearest.shape == (0, 3)
+    assert (empty.distance.dtype, empty.weights.dtype, empty.gap.dtype) == (float,) * 3
+    assert empty.active.dtype == empty.stalled.dtype == bool
+    assert empty.iterations.dtype == np.int64
+    assert hull.within_distance(ps, np.zeros((0, 3)), 0.1).shape == (0,)
 
 
 @pytest.mark.parametrize("d,n,seed,scale", [(5, 8, 41, 2.0), (3, 12, 5, 1.2), (5, 8, 7, 1.0)])

@@ -355,6 +355,25 @@ def test_taylor_budget_refuses_before_evaluating():
     ).evaluations_used == 15
 
 
+def test_stencil_bound_counts_the_enumerated_stencils():
+    for d in range(1, 25):
+        for j in range(9):
+            betas = quadrature._even_multi_indices(d, j)
+            assert quadrature._stencil_bound(d, j) == int(quadrature._stencil_sizes(betas).sum())
+    assert quadrature._stencil_bound(12, 6) == 8_695
+
+
+def test_taylor_budget_refuses_before_enumerating(monkeypatch):
+    def never(*args):
+        raise AssertionError("multi-indices enumerated despite the budget")
+
+    monkeypatch.setattr(quadrature, "_even_multi_indices", never)
+    fd = quadrature.Integrand(eval=never)
+    dom = geometry.DomainSpec.cube(12)
+    with pytest.raises(quadrature.EvaluationBudgetError, match="up to 8695 stencil"):
+        quadrature.quad_taylor(fd, dom, 6, max_evals=8_694)
+
+
 @pytest.mark.parametrize("d", [2, 4])
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
 def test_taylor_error_within_bound_sine_family(d, j):
