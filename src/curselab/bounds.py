@@ -93,9 +93,6 @@ class TailRule:
             - (self.d_exponent_base + self.d_exponent_slope * j) * math.log(d)
         )
 
-    def d_exponent(self, j: int) -> float:
-        return -(self.d_exponent_base + self.d_exponent_slope * j)
-
 
 @dataclass(frozen=True)
 class SmoothnessProfile:
@@ -110,32 +107,29 @@ class SmoothnessProfile:
     ones at the price of a ``d^{j/2}`` factor per order.
     """
 
-    k: float  # number of derivative orders; math.inf allowed
     derivative_kind: str  # "directional" | "partial"
-    levels: tuple[tuple[float, float], ...] = field(default=())
+    levels: tuple[tuple[float, float], ...]
     tail: TailRule | None = None
 
     def __post_init__(self):
         if self.derivative_kind not in ("directional", "partial"):
             raise ValueError("derivative_kind must be 'directional' or 'partial'")
-        if math.isinf(self.k):
-            if self.tail is None or len(self.levels) != 1:
-                raise ValueError(
-                    "infinite profiles need exactly the order-0 level plus a tail rule"
-                )
-        else:
-            if self.tail is not None:
-                raise ValueError("finite profiles must not carry a tail rule")
-            if len(self.levels) != int(self.k) + 1:
-                raise ValueError("finite profiles need k + 1 level rules")
+        if not self.levels:
+            raise ValueError("a profile needs its order-0 level")
+        if self.tail is not None and len(self.levels) != 1:
+            raise ValueError("infinite profiles need exactly the order-0 level plus a tail rule")
+
+    @property
+    def k(self) -> float:
+        """The number of derivative orders: math.inf with a tail rule."""
+        return math.inf if self.tail is not None else len(self.levels) - 1
 
     @staticmethod
     def finite(
         levels: list[tuple[float, float]], derivative_kind: str = "directional"
     ) -> "SmoothnessProfile":
         """Build from (constant, d_exponent) pairs for j = 0 .. k."""
-        return SmoothnessProfile(k=len(levels) - 1, derivative_kind=derivative_kind,
-                                 levels=tuple((math.log(c), e) for c, e in levels))
+        return SmoothnessProfile(derivative_kind, tuple((math.log(c), e) for c, e in levels))
 
     @staticmethod
     def infinite(
@@ -144,18 +138,13 @@ class SmoothnessProfile:
         derivative_kind: str = "directional",
     ) -> "SmoothnessProfile":
         c0, e0 = level0
-        return SmoothnessProfile(
-            k=math.inf,
-            derivative_kind=derivative_kind,
-            levels=((math.log(c0), e0),),
-            tail=tail,
-        )
+        return SmoothnessProfile(derivative_kind, ((math.log(c0), e0),), tail)
 
     def log_value(self, j: int, d: int) -> float:
         """ln L_{j,d}; defined for 0 <= j <= k."""
         if j < 0 or j > self.k:
             raise ValueError(f"order {j} outside profile range")
-        if j == 0 or (not math.isinf(self.k)):
+        if j < len(self.levels):
             log_constant, d_exponent = self.levels[j]
             return log_constant + d_exponent * math.log(d)
         return self.tail.log_value(j, d)
@@ -163,18 +152,11 @@ class SmoothnessProfile:
     def value(self, j: int, d: int) -> float:
         return math.exp(self.log_value(j, d))
 
-    def d_exponent(self, j: int) -> float:
-        if j < 0 or j > self.k:
-            raise ValueError(f"order {j} outside profile range")
-        if j == 0 or (not math.isinf(self.k)):
-            return self.levels[j][1]
-        return self.tail.d_exponent(j)
-
     def to_json_dict(self, d: int) -> dict:
         """The bounds at dimension d, for orders 0..k (0..8 for infinite k)."""
-        top = int(self.k) if not math.isinf(self.k) else 8
+        top = 8 if self.tail is not None else self.k
         return {
-            "k": "inf" if math.isinf(self.k) else int(self.k),
+            "k": "inf" if self.tail is not None else self.k,
             "derivative_kind": self.derivative_kind,
             "d": d,
             "log_bounds": {str(j): self.log_value(j, d) for j in range(top + 1)},
@@ -418,17 +400,13 @@ class Verdict:
     explanation: str
     witness: dict = field(default_factory=dict)
 
-    def log_bound_at(self, d: int, eps: float) -> float | None:
-        if self.verdict != "curse" or eps > self.witness.get("eps0", 0.0):
-            return None
-        return math.log(self.witness["c"]) + d * math.log1p(self.witness["gamma"])
-
     def to_json_dict(self) -> dict:
         samples = []
         if self.verdict == "curse":
-            eps = 0.5 * self.witness["eps0"]
+            w = self.witness
             samples = [
-                {"d": d, "eps": eps, "log_bound": self.log_bound_at(d, eps)}
+                {"d": d, "eps": 0.5 * w["eps0"],
+                 "log_bound": math.log(w["c"]) + d * math.log1p(w["gamma"])}
                 for d in (10, 100, 1000)
             ]
         return {
@@ -467,7 +445,7 @@ def classify(profile: SmoothnessProfile, dom_family: str) -> Verdict:
         raise ValueError(f"unknown domain family {dom_family!r}")
     partial = profile.derivative_kind == "partial"
     k = profile.k
-    e0 = profile.d_exponent(0)
+    e0 = profile.levels[0][1]
 
     # Lower-bound (curse) conditions read the profile as given: bounds for
     # directional classes transfer unchanged to partial ones.  Upper-bound
@@ -497,10 +475,9 @@ def classify(profile: SmoothnessProfile, dom_family: str) -> Verdict:
         )
 
     if not math.isinf(k):
-        k = int(k)
-        exps = [profile.d_exponent(j) for j in range(k + 1)]
-        curse_cond = e0 >= -0.5 and all(exps[j] >= -1.0 for j in range(1, k + 1))
-        no_curse_cond = any(exps[j] < no_curse_threshold(j) for j in range(k + 1))
+        exps = [e for _, e in profile.levels]
+        curse_cond = e0 >= -0.5 and all(e >= -1.0 for e in exps[1:])
+        no_curse_cond = any(e < no_curse_threshold(j) for j, e in enumerate(exps))
         if k == 1 and not partial:
             if dom_family not in _HULL_FAMILIES:
                 return Verdict(

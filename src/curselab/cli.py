@@ -40,7 +40,7 @@ from . import checks
 from . import geometry as geo
 from . import volume as vol
 from .checks import tagged
-from .hull import HullIterationError, PointSet
+from .hull import PointSet
 from .quadrature import EvaluationBudgetError
 
 __all__ = ["main"]
@@ -153,6 +153,11 @@ def _flag(dest: str) -> str:
 # Config handling
 
 
+# The words a config file may give a switch, in any case.
+_SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
+
+
 def _load_config(path: str, flags: dict[str, dict]) -> dict:
     """The ``key=value`` lines of ``path``, converted by the flags' types and choices."""
     config = {}
@@ -169,7 +174,10 @@ def _load_config(path: str, flags: dict[str, dict]) -> dict:
             if spec is None:
                 raise CliError(f"unknown config key {key!r}")
             if spec.get("action") == "store_true":
-                value = raw.lower() in ("1", "true", "yes", "on")
+                value = _SWITCH_WORDS.get(raw.lower())
+                if value is None:
+                    raise CliError(f"config key {key!r}: {raw!r} is not one of "
+                                   "1/0, true/false, yes/no, on/off")
             else:
                 try:
                     value = spec.get("type", str)(raw)
@@ -348,7 +356,9 @@ def _infinite_profile(v) -> bd.SmoothnessProfile:
     for name in ("tail_constant", "tail_base"):
         if v[name] <= 0.0:
             raise CliError(f"{_flag(name)} must be positive")
-    c0, e0 = _parse_levels(v["level0"])[0]
+    levels = _parse_levels(v["level0"])
+    if len(levels) != 1:
+        raise CliError(f"--level0 takes one constant:exponent pair, got {len(levels)}")
     tail = bd.TailRule(
         log_constant=math.log(v["tail_constant"]),
         log_base=math.log(v["tail_base"]),
@@ -357,7 +367,7 @@ def _infinite_profile(v) -> bd.SmoothnessProfile:
         d_exponent_base=v["tail_u"],
         d_exponent_slope=v["tail_v"],
     )
-    return bd.SmoothnessProfile.infinite((c0, e0), tail, derivative_kind=v["kind"])
+    return bd.SmoothnessProfile.infinite(levels[0], tail, derivative_kind=v["kind"])
 
 
 def _finite_profile(v) -> bd.SmoothnessProfile:
@@ -693,12 +703,14 @@ def main(argv: list[str] | None = None) -> int:
             ) or "pass"
         if plot_rows:
             _emit_plot(plot_rows, values.get("plot_data"))
+    # LinAlgError is a ValueError, so the numerical failures come first;
+    # RuntimeError covers HullIterationError.
+    except (FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:
+        print(f"curselab: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:  # CliError included
         print(f"curselab: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (HullIterationError, FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:
-        print(f"curselab: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except MemoryError:  # its message may be empty
         print("curselab: error: the run needs more memory than is available", file=sys.stderr)
         return EXIT_INVALID

@@ -73,9 +73,7 @@ def lp_unit_ball_volume(p: float, d: int) -> float:
 
 
 def _lp_scale_log(p: float, d: int) -> float:
-    """ln of the lp-norm scaling factor that makes the lp ball volume one."""
-    if math.isinf(p):
-        return -math.log(2.0)
+    """ln of the lp-norm scaling factor that makes the lp ball volume one; finite p."""
     return (gammaln(1.0 + d / p) / d) - math.log(2.0) - gammaln(1.0 + 1.0 / p)
 
 

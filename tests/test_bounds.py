@@ -312,6 +312,18 @@ def test_classify_partial_embedding_shifts_thresholds():
     assert bounds.classify(free, "cube").verdict == "no_curse"
 
 
+def test_classify_gradient_dichotomy_needs_hull_family():
+    profile = SmoothnessProfile.finite([(1.0, -0.5), (1.0, -1.0)])
+    verdict = bounds.classify(profile, "convex")
+    assert (verdict.verdict, verdict.rule) == ("indeterminate_gap", "none")
+
+
+def test_classify_infinite_fast_decay_beats_taylor_threshold_on_any_convex():
+    profile = SmoothnessProfile.infinite((1.0, 0.0), TailRule(0.0, d_exponent_base=2.0))
+    verdict = bounds.classify(profile, "convex")
+    assert (verdict.verdict, verdict.rule) == ("no_curse", "taylor_upper")
+
+
 def test_classify_curse_witness_constants():
     profile = SmoothnessProfile.finite([(2.5, -0.5)])
     verdict = bounds.classify(profile, "cube")
@@ -366,9 +378,12 @@ def test_profile_tail_log_values():
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        SmoothnessProfile(k=2, derivative_kind="directional", levels=())
+        SmoothnessProfile(derivative_kind="directional", levels=())
     with pytest.raises(ValueError):
-        SmoothnessProfile(k=math.inf, derivative_kind="directional", levels=())
+        SmoothnessProfile(derivative_kind="directional", levels=(), tail=TailRule(0.0))
+    with pytest.raises(ValueError):
+        SmoothnessProfile(derivative_kind="directional", levels=((0.0, 0.0),) * 2,
+                          tail=TailRule(0.0))
     with pytest.raises(ValueError):
         SmoothnessProfile.finite([(1.0, 0.0)], derivative_kind="sideways")
 

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import pytest
 
 from curselab import checks, fooling
@@ -99,6 +102,23 @@ def test_smooth_check_zero_and_one_checks_can_fail(monkeypatch, scale, failing):
     monkeypatch.setattr(checks, "fooling_smoothed", wrong)
     res = checks.smooth_check(5, 8, 0.05, 3, 2000, 1)
     assert not res[failing] and not res["pass"]
+
+
+def test_smooth_check_lipschitz_check_can_fail(monkeypatch):
+    # A certificate of a tenth of the order-0 constant is below the
+    # quotients of smoothed means across the ramp.
+    exact = checks.fooling_smoothed
+
+    def undercertified(ps, delta, k):
+        f = exact(ps, delta, k)
+        (log_c0, e0), *rest = f.certificate.levels
+        cert = replace(f.certificate, levels=((log_c0 - math.log(10.0), e0), *rest))
+        return replace(f, certificate=cert)
+
+    monkeypatch.setattr(checks, "fooling_smoothed", undercertified)
+    res = checks.smooth_check(5, 8, 0.05, 3, 2000, 1)
+    assert not res["mean_lipschitz_pass"] and not res["pass"]
+    assert res["zero_pass"] and res["one_pass"]
 
 
 def test_fool_check_c1_evaluates_only_the_function_it_certifies(monkeypatch):

@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from curselab import cli
@@ -148,6 +149,23 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg.write_text("nonsense=1\n")
     code, _ = run_cli(["volume", "--config", str(cfg)], tmp_path)
     assert code == 1
+
+
+@pytest.mark.parametrize("word,fd", [("false", False), ("OFF", False), ("Yes", True)])
+def test_config_switch_words(tmp_path, word, fd):
+    cfg = tmp_path / "switch.cfg"
+    cfg.write_text(f"fd={word}\n")
+    code, payload = run_json([*_TAYLOR, "--config", str(cfg)], tmp_path)
+    assert code == 0
+    assert payload["config"]["fd"] is fd
+
+
+def test_config_switch_refuses_other_words(tmp_path, capsys):
+    cfg = tmp_path / "switch.cfg"
+    cfg.write_text("fd=flase\n")
+    code, err = _one_line_error(capsys, [*_TAYLOR, "--config", str(cfg)])
+    assert code == 1
+    assert "config key 'fd'" in err
 
 
 def test_fool_check_c1_small(tmp_path):
@@ -575,12 +593,33 @@ def test_classify_refuses_a_k_that_is_no_order(capsys, k):
     assert err == f"curselab: error: --k must be a non-negative integer or inf, got {k}\n"
 
 
+def test_classify_refuses_more_than_one_level0_pair(capsys):
+    code, err = _one_line_error(
+        capsys, ["classify", "--k", "inf", "--family", "cube", "--level0", "1:0,5:-3,7:1",
+                 "--tail-constant", "1"],
+    )
+    assert code == 1
+    assert "--level0 takes one constant:exponent pair" in err
+
+
 def test_classify_validates_level_count(tmp_path):
     code, _ = run_cli(
         ["classify", "--k", "2", "--family", "cube", "--levels", "1:-0.5"],
         tmp_path,
     )
     assert code == 1
+
+
+def test_a_linear_algebra_failure_is_numerical(monkeypatch, capsys):
+    # LinAlgError is a ValueError; it must not be reported as invalid input.
+    def fail(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli.checks, "smooth_check", fail)
+    code = main(["smooth-check", "--d", "5", "--n", "8", "--delta", "0.05", "--k", "3",
+                 "--samples", "2000", "--seed", "1"])
+    assert code == 3
+    assert capsys.readouterr().err == "curselab: numerical failure: SVD did not converge\n"
 
 
 def test_unknown_subcommand_is_invalid(tmp_path):
