@@ -30,7 +30,7 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -630,7 +630,10 @@ def _flags(command: Command) -> dict[str, dict]:
     return flags
 
 
+@cache
 def build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process; parsing
+    leaves it unchanged."""
     parser = _Parser(prog="curselab", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)

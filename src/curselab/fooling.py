@@ -20,7 +20,10 @@ Four constructions, in increasing smoothness:
   the weight tail.
 
 Convolutions are realized as Monte Carlo expectations over the kernel
-shifts (:func:`smoothed_eval`).
+shifts (:func:`smoothed_eval`).  Their sum is drawn as a uniform
+direction in R^d times a length found in the span of the k kernel
+directions, from a Bartlett factor of the directions' Gram matrix, so a
+sample costs d + O(k^2) normals rather than k d.
 """
 
 from __future__ import annotations
@@ -357,17 +360,35 @@ def smoothed_eval(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the k-fold ball convolution at x.
 
-    Averages ``base(x - U_1 - ... - U_k)`` over uniform draws U_j from
-    the centered balls of radius ``alpha_j * delta * sqrt(d)``; ``base``
-    is any batch-callable, so constant and affine test hooks can stand
-    in for the fooling function.  The draws go through
+    Averages ``base(x - S)`` with ``S = U_1 + ... + U_k`` over uniform
+    draws U_j from the centered balls of radius
+    ``rho_j = alpha_j * delta * sqrt(d)``; ``base`` is any
+    batch-callable, so constant and affine test hooks can stand in for
+    the fooling function.  The draws go through
     :func:`curselab.rng.mc_mean`, so the chunks run on every available
-    core with the same result as on one.  Each chunk is drawn in row
-    blocks of at most ``2**17 // d`` rows (1 MiB per array), and
-    ``base`` sees one block at a time, possibly from several threads at
-    once; within a block the stream holds, for each kernel, the
-    directions and then the radii.  Returns the mean and the 95% normal
-    half-width.  ``kernels = 0`` evaluates the base itself exactly.
+    core with the same result as on one.
+
+    S is drawn in the span of the k kernel directions rather than in
+    R^d.  Its law is rotation invariant, so ``S = |S| theta`` with
+    theta uniform on the sphere and independent of |S|, and |S| depends
+    only on the radii ``r_j = rho_j V_j^{1/d}`` (V_j uniform) and on
+    the Gram matrix of the k Gaussian directions.  By the Bartlett
+    decomposition that matrix is R^T R for an upper-trapezoidal q x k
+    factor R, q = min(k, d), with independent entries: R_ii the square
+    root of a chi-square with d - i degrees of freedom (i = 0..q-1) and
+    N(0, 1) above the diagonal.  So
+    ``|S| = |sum_j r_j R_j / |R_j||`` over the columns R_j, a q-vector:
+    a sample costs d + qk - q(q+1)/2 normals, q chi-squares and k
+    uniforms instead of kd normals and k uniforms.
+
+    Each chunk is drawn in row blocks of at most
+    ``2**17 // max(d, q k)`` rows (1 MiB per array), and ``base`` sees
+    one block at a time, possibly from several threads at once.  Within
+    a block the stream holds the d normals of theta row by row; then,
+    each for every row of the block in turn, the strictly upper entries
+    of R (row-major within R), the q chi-squares and the k uniforms.
+    Returns the mean and the 95% normal half-width.  ``kernels = 0``
+    evaluates the base itself exactly.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -384,19 +405,25 @@ def smoothed_eval(
     if alphas.sum() > 1.0 + 1e-12:
         raise ValueError("kernel weights must sum to at most one")
     radii = alphas * delta * math.sqrt(d)
-    block = max(1, _BLOCK_ENTRIES // d)
+    q = min(kernels, d)
+    upper = np.triu_indices(q, 1, kernels)
+    diagonal = np.arange(q)
+    block = max(1, _BLOCK_ENTRIES // max(d, q * kernels))
 
     def draw(rng, size):
         values = np.empty(size)
         for start in range(0, size, block):
             rows = min(block, size - start)
-            shift = np.zeros((rows, d))
-            for r in radii:
-                direction = rng.standard_normal((rows, d))
-                direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-                direction *= r * rng.random((rows, 1)) ** (1.0 / d)
-                shift += direction
-            values[start:start + rows] = np.ravel(base(x[None, :] - shift))
+            theta = rng.standard_normal((rows, d))
+            factor = np.zeros((q, kernels, rows))  # each row's R, rows last
+            factor[upper] = rng.standard_normal((upper[0].size, rows))
+            factor[diagonal, diagonal] = np.sqrt(rng.chisquare(d - diagonal[:, None], (q, rows)))
+            # r_j / |R_j|, then |S| = |sum_j r_j R_j / |R_j||.
+            weight = radii[:, None] * rng.random((kernels, rows)) ** (1.0 / d)
+            weight /= np.linalg.norm(factor, axis=0)
+            length = np.linalg.norm((factor * weight).sum(axis=1), axis=0)
+            theta *= (length / np.linalg.norm(theta, axis=1))[:, None]
+            values[start:start + rows] = np.ravel(base(x[None, :] - theta))
         return values
 
     est = mc_mean(draw, seed, n_samples)

@@ -871,6 +871,31 @@ def test_extreme_inputs_end_in_their_exit_code(tmp_path, argv, code):
         assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
+def test_cached_parser_runs_like_fresh_processes(capsys):
+    # The parser is built once per process; a run after other runs, a
+    # refused one among them, prints and exits as in a process of its own.
+    runs = [
+        ["quad", "--algorithm", "taylor", "--d", "5", "--j", "2", "--seed", "1"],
+        ["quad", "--algorithm", "taylor", "--d", "5", "--bogus", "1", "--seed", "1"],
+        ["smooth-check", "--d", "3", "--n", "4", "--delta", "0.05", "--k", "2",
+         "--samples", "1000", "--seed", "1"],
+        ["bounds", "--which", "gradient-cube-lower", "--d", "7", "--eps", "0.5"],
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    codes = []
+    for argv in runs:
+        code = main(argv)
+        codes.append(code)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "curselab.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert codes == [0, 1, 0, 0]
+
+
 def _readme_examples() -> list[list[str]]:
     """The ``curselab`` lines of the README's "Command line" block, as argv lists."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")

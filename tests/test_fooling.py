@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curselab import fooling, geometry, hull
+from curselab import rng as rng_module
 
 
 @pytest.fixture
@@ -426,16 +427,40 @@ def test_smoothed_eval_passes_base_one_chunk_at_a_time():
     assert abs(mean - 0.5) < 0.01
 
 
+def _bartlett_shifts(rng, rows, d, radii):
+    # The documented layout of one block: the d normals of each row's
+    # direction, row by row; then, each for every row in turn, the
+    # strictly upper entries of the q x k Bartlett factor (row-major),
+    # its q chi-square diagonal entries and the k radius uniforms.  The
+    # shift is the direction scaled to the length of
+    # sum_j r_j R_j / |R_j| over the factor's columns R_j.
+    k = len(radii)
+    q = min(k, d)
+    theta = rng.standard_normal((rows, d))
+    above = [(i, j) for i in range(q) for j in range(i + 1, k)]
+    entries = rng.standard_normal((len(above), rows))
+    chi2 = [rng.chisquare(d - i, rows) for i in range(q)]
+    uniforms = rng.random((k, rows))
+    columns = [[np.zeros(rows) for _ in range(q)] for _ in range(k)]
+    for (i, j), entry in zip(above, entries):
+        columns[j][i] = entry
+    for i in range(q):
+        columns[i][i] = np.sqrt(chi2[i])
+    total = [np.zeros(rows) for _ in range(q)]
+    for column, rho, u in zip(columns, radii, uniforms):
+        scale = rho * u ** (1.0 / d) / np.sqrt(sum(c * c for c in column))
+        total = [t + c * scale for t, c in zip(total, column)]
+    length = np.sqrt(sum(t * t for t in total))
+    return theta * (length / np.linalg.norm(theta, axis=1))[:, None]
+
+
 def _single_stream_smoothed_mean(base, seq, kernels, delta, x, n_samples, seed):
     # The estimator before chunking: one stream, every shift in memory.
     d = x.shape[0]
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    shift = np.zeros((n_samples, d))
-    for a in seq.values(kernels):
-        direction = rng.standard_normal((n_samples, d))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        shift += direction * (a * delta * math.sqrt(d) * rng.random((n_samples, 1)) ** (1.0 / d))
-    values = np.asarray(base(x[None, :] - shift), dtype=float).ravel()
+    radii = seq.values(kernels) * delta * math.sqrt(d)
+    values = np.asarray(base(x[None, :] - _bartlett_shifts(rng, n_samples, d, radii)),
+                        dtype=float).ravel()
     centered = values - values[0]
     return float(values[0]) + float(centered.mean())
 
@@ -451,19 +476,15 @@ def test_smoothed_eval_single_chunk_matches_single_stream(small_hull):
 
 
 def _blocked_smoothed_values(base, seq, kernels, delta, x, n_samples, seed):
-    # One chunk, drawn in blocks of at most 2**17 // d rows; each block
-    # holds, per kernel, its directions and then its radii.
+    # One chunk, drawn in blocks of at most 2**17 // max(d, q k) rows,
+    # each block holding its own layout.
     d = x.shape[0]
-    block = (1 << 17) // d
+    block = (1 << 17) // max(d, min(kernels, d) * kernels)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    radii = seq.values(kernels) * delta * math.sqrt(d)
     values = []
     for start in range(0, n_samples, block):
-        rows = min(block, n_samples - start)
-        shift = np.zeros((rows, d))
-        for a in seq.values(kernels):
-            direction = rng.standard_normal((rows, d))
-            direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-            shift += direction * (a * delta * math.sqrt(d) * rng.random((rows, 1)) ** (1.0 / d))
+        shift = _bartlett_shifts(rng, min(block, n_samples - start), d, radii)
         values.append(np.asarray(base(x[None, :] - shift), dtype=float).ravel())
     values = np.concatenate(values)
     centered = values - values[0]
@@ -490,6 +511,86 @@ def test_smoothed_eval_blocks_match_oracle_at_d50():
     mean, _ = fooling.smoothed_eval(counting, seq, 3, 0.05, x, 6000, seed=41)
     assert rows == [2621, 2621, 758]
     assert mean == expected
+
+
+def _kernel_weights(k):
+    # Power weights at the cinf setting's k = 16, uniform otherwise.
+    if k == 16:
+        return fooling.make_alpha_sequence("power", eta=1.0)
+    return fooling.make_alpha_sequence("uniform", k=k)
+
+
+@pytest.mark.parametrize("d, k", [(50, 3), (3, 5), (2, 16)])
+def test_smoothed_eval_exact_shift_moments(d, k):
+    # E|S|^2 = sum_j rho_j^2 d/(d+2): the radii law alone.  E|S|^4 also
+    # weighs the squared cosines between kernel directions, which have
+    # mean 1/d only if the Bartlett factor has the chi diagonal.
+    seq = _kernel_weights(k)
+    delta = 0.05
+    rho2 = (seq.values(k) * delta * math.sqrt(d)) ** 2
+    m2 = rho2 * d / (d + 2)
+    m4 = rho2 ** 2 * d / (d + 4)
+    second = float(m2.sum())
+    fourth = float(m4.sum() + (second ** 2 - (m2 ** 2).sum()) * (1.0 + 2.0 / d))
+    x = np.full(d, 0.5)
+    for power, exact in ((1, second), (2, fourth)):
+        mean, half = fooling.smoothed_eval(
+            lambda pts: ((pts - x) ** 2).sum(axis=1) ** power, seq, k, delta, x, 40_000, seed=61
+        )
+        assert abs(mean - exact) <= 4.0 * half
+
+
+def _per_kernel_shifts(rng, rows, d, radii):
+    # Reference sampler: every kernel draws its own direction in R^d.
+    shift = np.zeros((rows, d))
+    for rho in radii:
+        u = rng.standard_normal((rows, d))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        shift += u * (rho * rng.random((rows, 1)) ** (1.0 / d))
+    return shift
+
+
+@pytest.mark.parametrize("d, k", [(50, 3), (5, 2), (3, 5), (2, 16), (1, 3)])
+def test_smoothed_eval_shift_law_matches_per_kernel_sampler(d, k):
+    from scipy.stats import ks_2samp
+
+    seq = _kernel_weights(k)
+    x = np.full(d, 0.5)
+    seen = []
+
+    def recording(pts):
+        seen.append(x - pts)
+        return np.zeros(len(pts))
+
+    fooling.smoothed_eval(recording, seq, k, 0.05, x, 16_000, seed=71)
+    shifts = np.concatenate(seen)
+    radii = seq.values(k) * 0.05 * math.sqrt(d)
+    reference = _per_kernel_shifts(np.random.default_rng([71, d, k]), 16_000, d, radii)
+    for a, b in ((np.linalg.norm(shifts, axis=1), np.linalg.norm(reference, axis=1)),
+                 (shifts[:, 0], reference[:, 0])):
+        assert ks_2samp(a, b).pvalue > 1e-3
+
+
+def test_smoothed_eval_draws_d_plus_upper_factor_normals(monkeypatch):
+    # d + qk - q(q+1)/2 normals per sample: 50 + 9 - 6 at d=50, k=3.
+    drawn = []
+
+    class Counting:
+        def __init__(self, generator):
+            self.generator = generator
+
+        def standard_normal(self, size):
+            drawn.append(int(np.prod(size)))
+            return self.generator.standard_normal(size)
+
+        def __getattr__(self, name):
+            return getattr(self.generator, name)
+
+    substream = rng_module.substream
+    monkeypatch.setattr(rng_module, "substream", lambda *key: Counting(substream(*key)))
+    seq = fooling.make_alpha_sequence("uniform", k=3)
+    fooling.smoothed_eval(_affine_base(50), seq, 3, 0.05, np.full(50, 0.5), 40_000, seed=81)
+    assert sum(drawn) == 53 * 40_000
 
 
 @pytest.mark.parametrize("d", [50, 300])
