@@ -112,6 +112,11 @@ def _certified_far_points(
     return np.asarray(out)
 
 
+def _seed_offset(seed: int, offset: int) -> int:
+    """``seed + offset`` wrapped into the seed range [0, 2**64)."""
+    return (seed + offset) % (1 << 64)
+
+
 def _require_count(name: str, count: int) -> None:
     if count < 1:
         raise ValueError(f"{name} must be at least 1, got {count}")
@@ -246,14 +251,19 @@ def fool_check_c1(
         # Distances and active sets come from the evaluations' own
         # projections, indexed by projection row; mid-ramp points are
         # never settled by the distance bracket, so they are all there.
-        centre = fooling_eval_batch(f, points)
+        # Each point starts on its anchor's face, each stencil node on its
+        # centre's.
+        centre = fooling_eval_batch(f, points, start=proj.active[far])
         gap = centre.projection.distance - r
         on_ramp = np.flatnonzero((0.25 * r <= gap) & (gap <= 0.8 * r))
         breaks = np.abs(gap[on_ramp, None] - root_breaks).min(axis=1) <= step
         kept = on_ramp[~breaks]
         stencil_rows = centre.projected[kept]
         nodes = (points[stencil_rows, None, :] + offsets).reshape(-1, d)
-        stencil = fooling_eval_batch(f, nodes, gradients=False)
+        stencil = fooling_eval_batch(
+            f, nodes, gradients=False,
+            start=np.repeat(centre.projection.active[kept], 2 * d, axis=0),
+        )
         values = stencil.values.reshape(-1, 2, d)
         fd = (values[:, 0] - values[:, 1]) / (2.0 * step)
         grad = centre.gradients[stencil_rows]
@@ -336,7 +346,7 @@ def smooth_check(
     const_value = 0.375
     mean_c, _ = smoothed_eval(
         lambda pts: np.full(len(np.atleast_2d(pts)), const_value),
-        f.seq, f.kernels, f.delta, x0, samples, seed + 1,
+        f.seq, f.kernels, f.delta, x0, samples, _seed_offset(seed, 1),
     )
     const_pass = mean_c == const_value
 
@@ -344,18 +354,19 @@ def smooth_check(
     b_off = float(rng.random())
     mean_a, hw_a = smoothed_eval(
         lambda pts: np.atleast_2d(pts) @ a_vec + b_off,
-        f.seq, f.kernels, f.delta, x0, samples, seed + 1,
+        f.seq, f.kernels, f.delta, x0, samples, _seed_offset(seed, 1),
     )
     target = float(a_vec @ x0 + b_off)
     affine_pass = abs(mean_a - target) <= 3.0 * hw_a
 
     w = rng.dirichlet(np.ones(ps.n), size=4)
     hull_pts = w @ ps.points
-    zero_means = [f.smoothed_estimate(point, samples, seed + 2)[0] for point in hull_pts]
+    zero_means = [f.smoothed_estimate(point, samples, _seed_offset(seed, 2))[0]
+                  for point in hull_pts]
     zero_pass = all(m == 0.0 for m in zero_means)
 
     far = _certified_far_points(substream(seed, 3), ps, dom, 3.0 * r, 4)
-    one_means = [f.smoothed_estimate(point, samples, seed + 2)[0] for point in far]
+    one_means = [f.smoothed_estimate(point, samples, _seed_offset(seed, 2))[0] for point in far]
     one_pass = all(m == 1.0 for m in one_means)
 
     # Lipschitz of smoothed means: pairs straddling the ramp, common seed.
@@ -369,8 +380,8 @@ def smooth_check(
         direction /= np.linalg.norm(direction)
         xa = base + direction * (r * (1.0 + 0.3 * pair_rng.random()))
         xb = base + direction * (r * (1.3 + 0.9 * pair_rng.random()))
-        ma, ha = f.smoothed_estimate(xa, samples, seed + 5 + i)
-        mb, hb = f.smoothed_estimate(xb, samples, seed + 5 + i)
+        ma, ha = f.smoothed_estimate(xa, samples, _seed_offset(seed, 5 + i))
+        mb, hb = f.smoothed_estimate(xb, samples, _seed_offset(seed, 5 + i))
         gap = float(np.linalg.norm(xa - xb))
         quotient = abs(ma - mb) / gap
         allowance = 3.0 * math.sqrt(ha * ha + hb * hb) / gap

@@ -28,6 +28,7 @@ sample costs d + O(k^2) normals rather than k d.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -173,9 +174,13 @@ class FoolingFunction:
     seq: AlphaSequence | None = None
     kernels: int = 0
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Pointwise values; for smoothed variants this is the c1 base."""
-        return fooling_eval_batch(self, points, gradients=False).values
+    def __call__(self, points: np.ndarray, start=None) -> np.ndarray:
+        """Pointwise values; for smoothed variants this is the c1 base.
+
+        ``start`` is a starting active set for the hull solver, as
+        :func:`fooling_eval_batch` takes it.
+        """
+        return fooling_eval_batch(self, points, gradients=False, start=start).values
 
     def gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Value and gradient of the c1 base at x (a batch of one)."""
@@ -187,11 +192,18 @@ class FoolingFunction:
     def smoothed_estimate(
         self, x: np.ndarray, n_samples: int, seed: int
     ) -> tuple[float, float]:
-        """Monte Carlo value of the convolved function at x."""
+        """Monte Carlo value of the convolved function at x.
+
+        Every sample x - S lies within ``delta * sqrt(d)`` of x, so x is
+        projected once and its active set is the hull solver's start for
+        every sample the distance bracket leaves open.
+        """
         if self.variant not in ("smoothed", "cinf_truncated"):
             raise ValueError("smoothed estimates need a smoothed variant")
+        face = project_batch(self.hull, x).active[0]
         return smoothed_eval(
-            self, self.seq, self.kernels, self.delta, x, n_samples, seed
+            functools.partial(self, start=face), self.seq, self.kernels, self.delta,
+            x, n_samples, seed,
         )
 
     def truncation_bound(self) -> float:
@@ -302,7 +314,7 @@ class FoolingValues(NamedTuple):
 
 
 def fooling_eval_batch(
-    f: FoolingFunction, points: np.ndarray, gradients: bool = True
+    f: FoolingFunction, points: np.ndarray, gradients: bool = True, start=None
 ) -> FoolingValues:
     """Values (and c1 gradients) of the fooling function ``f`` at each row.
 
@@ -314,16 +326,18 @@ def fooling_eval_batch(
     (:func:`curselab.hull.bracket`) at ``r`` and ``2r`` settles the rows
     within K_delta or beyond K_{2 delta}, which take 0 or 1 with a zero
     gradient, exactly what the projection would give them, and projects
-    the rows in between, in one batch.
+    the rows in between, in one batch.  ``start``, a starting active set
+    for every row or one per row, is handed to the hull solver (see
+    :func:`curselab.hull.project_batch`).
     """
     hull = f.hull
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if f.variant == "c0":
-        proj = project_batch(hull, points)
+        proj = project_batch(hull, points, start)
         values = np.minimum(1.0, f.lipschitz * proj.distance)
         return FoolingValues(values, None, proj, np.arange(points.shape[0]))
     r = f.delta * math.sqrt(hull.d)
-    _, one, rows, proj = bracket(hull, points, r, 2.0 * r)
+    _, one, rows, proj = bracket(hull, points, r, 2.0 * r, start)
     values = np.zeros(points.shape[0])
     values[one] = 1.0
     ramp = np.flatnonzero(proj.distance - r > 0.0)

@@ -7,7 +7,11 @@ over the queries' active sets; the major step then either adds a
 query's best vertex or retires the query, once the duality gap
 ``||z||^2 - min_j <z, q_j> <= _TOL * (1 + ||z||)`` certifies its nearest
 point.  Every query gets its nearest point, distance, dense convex
-weights, active set, cycle count, final gap and a stall flag.
+weights, active set, cycle count, final gap and a stall flag.  A query
+may start from a given active set instead of its nearest vertex: a point
+next to one whose projection is known (a finite-difference node next to
+its centre, a point on the segment from a query to its projection)
+starts on that projection's face and converges in a cycle or two.
 :func:`project_onto_hull` is a batch of one; :func:`slide_toward` turns
 projections into nearest points of a hull neighborhood; the fooling
 functions and the check suites all go through the same solver.
@@ -149,8 +153,10 @@ _BLOCK = 512
 _BLOCK_ELEMENTS = 1 << 20
 
 #: Gilbert refinement rounds :func:`bracket` runs before it hands the
-#: queries it could not decide to the exact solver.
+#: queries it could not decide to the exact solver, cold and with a
+#: starting active set (a warm solve costs less than the Gilbert tail).
 _REFINE_ITERS = 64
+_WARM_REFINE_ITERS = 8
 
 #: Duality-gap tolerance of :func:`project_batch`.
 _TOL = 1e-10
@@ -228,18 +234,28 @@ def _minor_cycles(pts, queries, weights, active, iterations, rows, max_iter) -> 
         weights[rows] = w / w.sum(axis=1, keepdims=True)
 
 
-def _wolfe_block(ps: PointSet, queries: np.ndarray, max_iter: int):
-    """Wolfe's method in lockstep over one block of queries."""
+def _wolfe_block(ps: PointSet, queries: np.ndarray, max_iter: int, start):
+    """Wolfe's method in lockstep over one block of queries, from each
+    query's nearest vertex or from the rows of the ``start`` mask."""
     pts = ps.points
     b = queries.shape[0]
     every = np.arange(b)
-    start = np.argmin(ps._norms2[None, :] - 2.0 * (queries @ pts.T), axis=1)
-    active = np.zeros((b, ps.n), dtype=bool)
-    active[every, start] = True
-    weights = active.astype(float)
     iterations = np.zeros(b, dtype=np.int64)
     gap = np.zeros(b)
     stalled = np.zeros(b, dtype=bool)
+    if start is None:
+        nearest = np.argmin(ps._norms2[None, :] - 2.0 * (queries @ pts.T), axis=1)
+        active = np.zeros((b, ps.n), dtype=bool)
+        active[every, nearest] = True
+        weights = active.astype(float)
+    else:
+        # The barycentre gives every vertex of its set a positive weight,
+        # as the minor cycles' ratio test needs; they carry it to the set's
+        # affine minimizer, dropping vertices until that is convex: the
+        # state Wolfe's major cycle expects.
+        active = start.copy()
+        weights = active / active.sum(axis=1, keepdims=True)
+        _minor_cycles(pts, queries, weights, active, iterations, every, max_iter)
 
     rows = every
     while rows.size:
@@ -283,7 +299,7 @@ def _as_queries(ps: PointSet, queries) -> np.ndarray:
     return queries
 
 
-def project_batch(ps: PointSet, queries: np.ndarray) -> BatchProjection:
+def project_batch(ps: PointSet, queries: np.ndarray, start=None) -> BatchProjection:
     """Project every row of ``queries`` onto the hull of ``ps``.
 
     Wolfe's minimum-norm-point method on the shifted points
@@ -293,12 +309,25 @@ def project_batch(ps: PointSet, queries: np.ndarray) -> BatchProjection:
     duality gap is below ``_TOL * (1 + distance)``.  Raises
     :class:`HullIterationError` when a query exceeds
     ``_CYCLES_PER_ENTRY * n * d`` major/minor cycles.
+
+    A query starts from its nearest vertex, or, given ``start`` (a bool
+    mask over the n points: one row for every query, or one row per
+    query), from the barycentre of its row, moved to that set's affine
+    minimizer by minor cycles before the first major cycle.  A start
+    changes the path, not the stopping rule: a start on the query's
+    optimal face converges in one cycle, a wrong one costs cycles only.
+    An empty start row is refused.
     """
     queries = _as_queries(ps, queries)
+    if start is not None:
+        start = np.broadcast_to(np.asarray(start, dtype=bool), (len(queries), ps.n))
+        if not start.any(axis=1).all():
+            raise ValueError("every start set needs at least one point")
     max_iter = _CYCLES_PER_ENTRY * ps.n * ps.d
     block = max(1, min(_BLOCK, _BLOCK_ELEMENTS // (ps.n * ps.d)))
     # At least one block, so that zero queries give empty outputs of the right shapes.
-    parts = [_wolfe_block(ps, queries[lo:lo + block], max_iter)
+    parts = [_wolfe_block(ps, queries[lo:lo + block], max_iter,
+                          None if start is None else start[lo:lo + block])
              for lo in range(0, max(len(queries), 1), block)]
     return BatchProjection(ps.points, *map(np.concatenate, zip(*parts)))
 
@@ -357,7 +386,7 @@ def _solver_slack(r: float) -> float:
 
 
 def bracket(
-    ps: PointSet, queries: np.ndarray, r_in: float, r_out: float
+    ps: PointSet, queries: np.ndarray, r_in: float, r_out: float, start=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, BatchProjection]:
     """The hull-distance verdict: within ``r_in``, beyond ``r_out``, or projected.
 
@@ -377,6 +406,12 @@ def bracket(
     off the products that found that vertex.  A row stops refining once
     neither verdict can be reached (lower bound above the inner cut,
     upper bound at most the outer).
+    Given ``start`` (a starting active set for every row, or one per
+    row, as :func:`project_batch` takes it), the projected rows start
+    from their sets, and every row refines for at most
+    ``_WARM_REFINE_ITERS`` rounds: a warm solve is cheaper than the
+    Gilbert tail.  Verdicts do not change, only which rows the solver
+    decides.
     """
     exact = r_in <= 0.0
     slack = _solver_slack(r_in)
@@ -405,7 +440,7 @@ def bracket(
         zp = cross
         zp -= ps._gram[best]
         x = y = None
-    for _ in range(_REFINE_ITERS):
+    for _ in range(_REFINE_ITERS if start is None else _WARM_REFINE_ITERS):
         if not alive.size:
             break
         if x is not None:
@@ -439,7 +474,10 @@ def bracket(
         step = np.clip(step, 0.0, 1.0)
         y = y + step[:, None] * w
     rows = np.flatnonzero(~(inside | outside))
-    return inside, outside, rows, project_batch(ps, queries[rows])
+    if start is None:
+        return inside, outside, rows, project_batch(ps, queries[rows])
+    start = np.broadcast_to(start, (m, ps.n))[rows]
+    return inside, outside, rows, project_batch(ps, queries[rows], start)
 
 
 def within_distance(ps: PointSet, queries: np.ndarray, r: float) -> np.ndarray:

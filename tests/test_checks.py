@@ -1,3 +1,5 @@
+import functools
+import json
 import math
 from dataclasses import replace
 
@@ -165,6 +167,45 @@ def test_smooth_check_evaluates_only_the_function_it_certifies(monkeypatch):
     assert f.variant == "smoothed" and f.kernels == 3
     assert all((seq, kernels, delta) == (f.seq, f.kernels, f.delta)
                for _, seq, kernels, delta in calls)
-    means = [base for base, *_ in calls if isinstance(base, fooling.FoolingFunction)]
+    # The hooks are the only other bases; a mean of a fooling function is
+    # the certified object with its hull solver started on x's face.
+    means = [base for base, *_ in calls if isinstance(base, functools.partial)]
+    assert len(calls) == len(means) + 2
     # Four zero points, four one points and four Lipschitz pairs.
-    assert len(means) == 16 and all(base is f for base in means)
+    assert len(means) == 16
+    assert all(base.func is f and not base.args and set(base.keywords) == {"start"}
+               for base in means)
+
+
+@pytest.mark.parametrize("delta,seed", [(0.005, 5), (0.05, 1)])
+def test_fool_check_c1_warm_starts_do_not_change_its_output(monkeypatch, delta, seed):
+    # The gradient centres and the stencil nodes start the hull solver on a
+    # known face; cold solves must give the same bytes.
+    warm = checks.fool_check_c1(5, 8, delta, pairs=2000, seed=seed)
+    exact, starts = checks.fooling_eval_batch, []
+
+    def cold(f, points, gradients=True, start=None):
+        starts.append(start is not None)
+        return exact(f, points, gradients)
+
+    monkeypatch.setattr(checks, "fooling_eval_batch", cold)
+    assert json.dumps(checks.fool_check_c1(5, 8, delta, pairs=2000, seed=seed)) == json.dumps(warm)
+    assert any(starts)
+
+
+def test_smooth_check_seeds_wrap_at_the_top_of_the_seed_range(monkeypatch):
+    # Seeds below 2**64 - 8 reach the smoothed means unchanged, so their
+    # output is as before; the top seeds wrap around instead of overflowing.
+    smoothed, seeds = fooling.smoothed_eval, []
+
+    def recording(base, seq, kernels, delta, x, n_samples, seed):
+        seeds.append(seed)
+        return smoothed(base, seq, kernels, delta, x, n_samples, seed)
+
+    monkeypatch.setattr(checks, "smoothed_eval", recording)
+    monkeypatch.setattr(fooling, "smoothed_eval", recording)
+    pattern = [1, 1] + [2] * 8 + [5, 5, 6, 6, 7, 7, 8, 8]
+    for seed in (1, 2**64 - 1):
+        seeds.clear()
+        assert checks.smooth_check(2, 2, 0.05, 1, 1000, seed)["pass"]
+        assert seeds == [(seed + k) % 2**64 for k in pattern]

@@ -847,6 +847,9 @@ def test_cli_import_loads_no_scipy_solvers():
     # The default Lipschitz constant 1/sqrt(d) is not computed for d < 1.
     (["fool-check", "--variant", "c0", "--d", "0", "--n", "4", "--seed", "1"], 1),
     (["quad", "--algorithm", "one-point", "--d", "0", "--seed", "1"], 1),
+    # The top seed: the smoothing suite's offset seeds wrap around 2**64.
+    (["smooth-check", "--d", "2", "--n", "2", "--delta", "0.05", "--k", "1",
+      "--samples", "1000", "--seed", str(2**64 - 1)], 0),
 ])
 def test_extreme_inputs_end_in_their_exit_code(tmp_path, argv, code):
     # A subprocess with a timeout, so that a hang fails the test and a

@@ -537,3 +537,81 @@ def test_within_distance_at_zero_radius_agrees_with_the_solver():
     mask = hull.within_distance(ps, queries, 0.0)
     assert np.array_equal(mask[fine], (solver.distance <= 0.0)[fine])
     assert mask[400:].all() and not mask[:400].any()
+
+
+# ---------------------------------------------------------------------------
+# Warm starts
+
+
+def _assert_same_distances(warm, cold):
+    assert np.all(np.abs(warm.distance - cold.distance) <= 1e-12 * (1.0 + cold.distance))
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (5, 16), (20, 16)])
+def test_project_batch_started_on_the_final_face_converges_at_once(d, n):
+    ps, queries = _batch_case(d, n, seed=3 * d + n)
+    cold = hull.project_batch(ps, queries)
+    assert cold.iterations.max() > 2  # dropping the start fails the bound below
+    warm = hull.project_batch(ps, queries, cold.active)
+    assert warm.iterations.max() <= 2
+    _assert_same_distances(warm, cold)
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (3, 12), (5, 16)])
+def test_project_batch_recovers_from_misleading_starts(monkeypatch, d, n):
+    ps, queries = _batch_case(d, n, seed=5 * d + n)
+    cold = hull.project_batch(ps, queries)
+    rng = np.random.default_rng(d + n)
+    sq = ((queries[:, None, :] - ps.points[None, :, :]) ** 2).sum(axis=2)
+    farthest = np.zeros((len(queries), ps.n), dtype=bool)
+    farthest[np.arange(len(queries)), np.argmax(sq, axis=1)] = True
+    subset = rng.random((len(queries), ps.n)) < 0.5
+    subset[np.arange(len(queries)), rng.integers(0, ps.n, len(queries))] = True
+    for start in (farthest, subset):
+        _assert_same_distances(hull.project_batch(ps, queries, start), cold)
+    # Every vertex at once: with n > d + 1 the points are affinely
+    # dependent, so the padded KKT systems go to the pseudoinverse.
+    pinv, redone = np.linalg.pinv, []
+
+    def counting(a, **kwargs):
+        redone.append(len(a))
+        return pinv(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting)
+    assert ps.n > d + 1
+    _assert_same_distances(hull.project_batch(ps, queries, np.ones(ps.n, dtype=bool)), cold)
+    assert redone
+
+
+def test_project_batch_start_keeps_the_cap_and_refuses_empty_sets(monkeypatch):
+    ps, queries = _batch_case(5, 8, seed=12)
+    start = np.ones((len(queries), ps.n), dtype=bool)
+    start[3] = False
+    with pytest.raises(ValueError, match="every start set needs at least one point"):
+        hull.project_batch(ps, queries, start)
+    farthest = np.zeros(ps.n, dtype=bool)
+    farthest[0] = True
+    monkeypatch.setattr(hull, "_CYCLES_PER_ENTRY", 1.0 / (ps.n * ps.d))
+    with pytest.raises(hull.HullIterationError):
+        hull.project_batch(ps, queries, farthest)
+
+
+@pytest.mark.parametrize("kind", ["ball", "cube", "one_vertex"])
+def test_bracket_with_a_start_matches_the_solver_at_the_cut(kind):
+    # The at-the-cut queries of the test above, each started on the face of
+    # the far point it was slid from: fewer refinement rounds, same verdicts.
+    ps, far, r = _near_cut_case(kind)
+    proj = hull.project_batch(ps, far)
+    keep = proj.distance > 0.0
+    nearest, distance, far = proj.nearest[keep], proj.distance[keep], far[keep]
+    start = np.vstack([proj.active[keep]] * 2)
+    for f in (1e-9, 1e-6):
+        queries = np.vstack([hull.slide_toward(nearest, distance, far, r * (1.0 + s * f))
+                             for s in (-1.0, 1.0)])
+        solver = hull.project_batch(ps, queries)
+        fine = ~solver.stalled
+        inside, outside, rows, warm = hull.bracket(ps, queries, r, r, start)
+        assert np.all(warm.iterations <= 2)
+        inside[rows] = warm.distance <= r
+        assert np.array_equal(inside[fine], (solver.distance <= r)[fine])
+        assert not np.any(outside[inside])
