@@ -74,17 +74,16 @@ def random_point_set(dom: DomainSpec, n: int, seed: int) -> PointSet:
     return PointSet(dom.sample(rng, n), domain=dom)
 
 
-def _sample_hull_neighborhood(
-    rng: np.random.Generator, ps: PointSet, radius: float, count: int
-) -> np.ndarray:
-    """Points of the hull neighborhood: convex combos plus interior shifts."""
-    w = rng.dirichlet(np.ones(ps.n), size=count)
-    base = w @ ps.points
-    direction = rng.standard_normal((count, ps.d))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    # Stay strictly interior so solver tolerance cannot flip the sign.
-    radii = 0.99 * radius * rng.random((count, 1)) ** (1.0 / ps.d)
-    return base + direction * radii
+def _unit_rows(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
+    """``count`` directions uniform on the unit sphere of R^d."""
+    u = rng.standard_normal((count, d))
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+def _hull_rays(rng: np.random.Generator, ps: PointSet, count: int) -> tuple:
+    """``count`` Dirichlet points of the hull of ``ps``, then a unit direction for each."""
+    base = rng.dirichlet(np.ones(ps.n), size=count) @ ps.points
+    return base, _unit_rows(rng, count, ps.d)
 
 
 def _certified_far_points(
@@ -191,14 +190,9 @@ def fool_check_c1(
     # the ramp width apart.  That is where the quotients approach the
     # certified constants.
     extra = max(1, pairs // 4)
-    w = rng.dirichlet(np.ones(ps.n), size=extra)
-    base = w @ ps.points
-    u = rng.standard_normal((extra, d))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    base, u = _hull_rays(rng, ps, extra)
     x_ramp = base + u * (r * rng.uniform(0.5, 3.5, size=(extra, 1)))
-    step = rng.standard_normal((extra, d))
-    step /= np.linalg.norm(step, axis=1, keepdims=True)
-    y_ramp = x_ramp + step * (r * rng.uniform(0.05, 1.0, size=(extra, 1)))
+    y_ramp = x_ramp + _unit_rows(rng, extra, d) * (r * rng.uniform(0.05, 1.0, size=(extra, 1)))
     x = np.vstack([x, x_ramp])
     y = np.vstack([y, y_ramp])
 
@@ -209,9 +203,10 @@ def fool_check_c1(
     max_gq = float((np.linalg.norm(grads_x - grads_y, axis=1) / gaps).max())
     range_pass = bool(np.all((vals_x >= 0.0) & (vals_x <= 1.0)))
 
+    # Neighborhood points, strictly interior so solver tolerance cannot flip the sign.
     rng_zero = substream(seed, 2)
-    zeros = _sample_hull_neighborhood(rng_zero, ps, r, samples)
-    zero_vals = f(zeros)
+    base, u = _hull_rays(rng_zero, ps, samples)
+    zero_vals = f(base + u * (0.99 * r * rng_zero.random((samples, 1)) ** (1.0 / d)))
     zeros_exact = int(np.count_nonzero(zero_vals == 0.0))
 
     rng_one = substream(seed, 3)
@@ -219,19 +214,21 @@ def fool_check_c1(
     one_vals = f(fars)
     ones_exact = int(np.count_nonzero(one_vals == 1.0))
 
-    # Gradient versus central differences.  Test points sit mid-ramp: the
-    # ramp profile is only piecewise smooth, and near its inner boundary
-    # the hull-distance curvature (order 1/r) makes the truncation error
-    # of the pinned step exceed the tolerance even for an exact gradient.
-    # A stencil must also stay on one piece of the ramp and on one face of
-    # the hull: moving by the step changes the distance by at most the
-    # step, so points within a step of a breakpoint gap (sqrt(t1) = r/2,
-    # sqrt(t2) = r) are excluded, and so are points whose stencil changes
-    # the projection's active set, since the hull distance's second
-    # derivative jumps there.
+    # Gradient versus central differences on the ramp of f itself, from
+    # r_f = f.delta sqrt(d) (r, for the f built from delta) to 2 r_f.  Test
+    # points sit mid-ramp: the ramp profile is only piecewise smooth, and
+    # near its inner boundary the hull-distance curvature (order 1/r_f)
+    # makes the truncation error of the pinned step exceed the tolerance
+    # even for an exact gradient.  A stencil must also stay on one piece
+    # of the ramp and on one face of the hull: moving by the step changes
+    # the distance by at most the step, so points within a step of a
+    # breakpoint gap (sqrt(t1) = r_f/2, sqrt(t2) = r_f) are excluded, and
+    # so are points whose stencil changes the projection's active set,
+    # since the hull distance's second derivative jumps there.
     rng_grad = substream(seed, 4)
+    r_f = f.delta * math.sqrt(d)
     step = 1e-5 * math.sqrt(d)
-    root_breaks = np.array([r / 2.0, r])
+    root_breaks = np.array([r_f / 2.0, r_f])
     offsets = step * np.vstack([np.eye(d), -np.eye(d)])
     checked = 0
     max_rel = 0.0
@@ -244,29 +241,29 @@ def fool_check_c1(
         # segment between a query and its hull projection projects to the
         # same point, so sliding along the ray sets the distance exactly.
         anchors = dom.sample(rng_grad, 4 * _GRAD_POINTS)
-        targets = r * (1.0 + rng_grad.uniform(0.3, 0.7, size=4 * _GRAD_POINTS))
+        targets = r_f * (1.0 + rng_grad.uniform(0.3, 0.7, size=4 * _GRAD_POINTS))
         proj = project_batch(ps, anchors)
         far = proj.distance > targets
         points = slide_toward(proj.nearest[far], proj.distance[far], anchors[far], targets[far])
         # Distances and active sets come from the evaluations' own
-        # projections, indexed by projection row; mid-ramp points are
-        # never settled by the distance bracket, so they are all there.
-        # Each point starts on its anchor's face, each stencil node on its
-        # centre's.
+        # projections.  A slid point lies 0.3-0.7 r_f beyond K_delta, mid-ramp
+        # (rounding moves it only where r_f < 1e-14, below the step, and
+        # there it counts as near a breakpoint), so strictly between r_f and
+        # 2 r_f from the hull, where the bracket settles nothing: the
+        # projection rows are the points, in order.  Each point starts on
+        # its anchor's face, each stencil node on its centre's.
         centre = fooling_eval_batch(f, points, start=proj.active[far])
-        gap = centre.projection.distance - r
-        on_ramp = np.flatnonzero((0.25 * r <= gap) & (gap <= 0.8 * r))
-        breaks = np.abs(gap[on_ramp, None] - root_breaks).min(axis=1) <= step
-        kept = on_ramp[~breaks]
-        stencil_rows = centre.projected[kept]
-        nodes = (points[stencil_rows, None, :] + offsets).reshape(-1, d)
+        gap = centre.projection.distance - r_f
+        breaks = np.abs(gap[:, None] - root_breaks).min(axis=1) <= step
+        kept = ~breaks
+        nodes = (points[kept, None, :] + offsets).reshape(-1, d)
         stencil = fooling_eval_batch(
             f, nodes, gradients=False,
             start=np.repeat(centre.projection.active[kept], 2 * d, axis=0),
         )
         values = stencil.values.reshape(-1, 2, d)
         fd = (values[:, 0] - values[:, 1]) / (2.0 * step)
-        grad = centre.gradients[stencil_rows]
+        grad = centre.gradients[kept]
         rel = np.linalg.norm(fd - grad, axis=1) / np.maximum(
             np.linalg.norm(grad, axis=1), 1e-300
         )
@@ -359,8 +356,7 @@ def smooth_check(
     target = float(a_vec @ x0 + b_off)
     affine_pass = abs(mean_a - target) <= 3.0 * hw_a
 
-    w = rng.dirichlet(np.ones(ps.n), size=4)
-    hull_pts = w @ ps.points
+    hull_pts = rng.dirichlet(np.ones(ps.n), size=4) @ ps.points
     zero_means = [f.smoothed_estimate(point, samples, _seed_offset(seed, 2))[0]
                   for point in hull_pts]
     zero_pass = all(m == 0.0 for m in zero_means)
@@ -383,6 +379,9 @@ def smooth_check(
         ma, ha = f.smoothed_estimate(xa, samples, _seed_offset(seed, 5 + i))
         mb, hb = f.smoothed_estimate(xb, samples, _seed_offset(seed, 5 + i))
         gap = float(np.linalg.norm(xa - xb))
+        if gap == 0.0:
+            raise FloatingPointError(f"delta = {delta:g} makes the two points of a "
+                                     "Lipschitz pair equal in floating point")
         quotient = abs(ma - mb) / gap
         allowance = 3.0 * math.sqrt(ha * ha + hb * hb) / gap
         if quotient > max_quotient:

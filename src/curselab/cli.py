@@ -243,38 +243,27 @@ def _run_gamma(v, name: str, gc: vol.GammaConstant):
     return results, [(a, vol.profile_integral(a, gc.delta, gc.eta)) for a in grid]
 
 
+def _constant(name: str, provenance: str, **figures):
+    """A constant that always passes, its figures tagged ``provenance``."""
+    return {"constant": name, "pass": True, **tagged(provenance, **figures)}, None
+
+
 def _run_p_star(v):
     root = geo.solve_p_star()
-    residual = geo.p_star_lhs(root) - geo.SQRT_HALF_PI_E
-    return {"constant": "p_star", "pass": True,
-            **tagged("solver", value=root, residual=residual)}, None
+    return _constant("p_star", "solver", value=root,
+                     residual=geo.p_star_lhs(root) - geo.SQRT_HALF_PI_E)
 
 
 def _run_radius(v):
     value = geo.lp_normalized_radius(v["p"], v["d"])
-    return {"constant": "radius", "pass": True, **tagged(
-        "formula", p=v["p"], d=v["d"], value=value, ratio=value / math.sqrt(v["d"]))}, None
-
-
-def _run_limit_ratio(v):
-    return {"constant": "limit_ratio", "pass": True, **tagged(
-        "formula", p=v["p"], value=geo.radius_limit_ratio(v["p"]),
-        small_radius_threshold=geo.SMALL_RADIUS_THRESHOLD)}, None
-
-
-def _run_ball_volume(v):
-    p, d = v["p"], v["d"]
-    return {"constant": "ball_volume", "pass": True, **tagged(
-        "formula", p=p, d=d, volume=geo.lp_unit_ball_volume(p, d),
-        log_volume=geo.lp_unit_ball_volume_log(p, d))}, None
+    return _constant("radius", "formula", p=v["p"], d=v["d"], value=value,
+                     ratio=value / math.sqrt(v["d"]))
 
 
 def _run_volume(v):
     dom = _parse_domain(v["domain"], v["d"])
-    if v.get("points_csv"):
-        ps = PointSet.from_csv(v["points_csv"], domain=dom)
-    else:
-        ps = checks.random_point_set(dom, v["n"], v["seed"])
+    ps = (PointSet.from_csv(v["points_csv"], domain=dom) if "points_csv" in v
+          else checks.random_point_set(dom, v["n"], v["seed"]))
     est = vol.mc_hull_neighborhood_volume(
         ps, dom, v["delta"], v["samples"], v["seed"], threads=v.get("threads")
     )
@@ -398,11 +387,11 @@ def _run_classify(v, profile_of):
 class Mode(NamedTuple):
     """One mode of a subcommand; flags are named by destination.
 
-    ``reads`` lists the flags the mode reads, besides those that select
-    it; ``switch`` names a store_true flag, which the mode reads set or
-    not, and the flags it reads only while that flag is set.  ``requires``
-    lists the flags that must be given, ``a|b`` for exactly one of ``--a``
-    and ``--b``.
+    ``reads`` lists the flags the mode reads besides those that select
+    it and those it requires; ``switch`` names a store_true flag, which
+    the mode reads set or not, and the flags it reads only while that
+    flag is set.  ``requires`` lists the flags that must be given, ``a|b``
+    for exactly one of ``--a`` and ``--b``; they are read too.
     """
 
     reads: str
@@ -412,7 +401,8 @@ class Mode(NamedTuple):
 
     def flags_read(self, switched: bool) -> set[str]:
         flag, extra = self.switch or ("", "")
-        return set(f"{self.reads} {flag} {extra if switched else ''}".split())
+        required = self.requires.replace("|", " ")
+        return set(f"{self.reads} {required} {flag} {extra if switched else ''}".split())
 
 
 class Command(NamedTuple):
@@ -420,16 +410,18 @@ class Command(NamedTuple):
 
     ``flags`` maps each destination to its ``add_argument`` keywords,
     ``default`` being the value an absent flag takes.  ``select`` is the
-    flag whose value is the mode's key (the keys are its choices), or a
-    function from the merged values to the key.  ``label`` names the mode
-    in messages, formatted with ``key`` and the values.
+    flag whose value is the mode's key (the keys are its choices; the
+    mode is named ``--flag key`` in messages), or a function from the
+    merged values to the key, with a ``label`` that names the mode,
+    formatted with ``key`` and the values.  A command of one mode has
+    neither.
     """
 
     help: str
     flags: dict[str, dict]
-    select: str | Callable[[dict], str]
-    label: str
     modes: dict[str, Mode]
+    select: str | Callable[[dict], str] | None = None
+    label: str = ""
 
 
 def _typed(kind, default=None) -> dict:
@@ -466,8 +458,7 @@ def _classify_mode(v) -> str:
 
 def _bound(reads: str, requires: str, build, switch=None) -> Mode:
     """A ``bounds`` mode: ``build(values, d, eps)`` at every (d, eps) given."""
-    return Mode(f"d d_list {reads}", f"d|d_list {requires}",
-                lambda v: _run_bounds(v, build), switch=switch)
+    return Mode(reads, f"d|d_list {requires}", lambda v: _run_bounds(v, build), switch=switch)
 
 
 _COMMANDS = {
@@ -482,27 +473,26 @@ _COMMANDS = {
         select=_constant_mode,
         label="--{key}",
         modes={
-            "gamma": Mode("delta eta check_below", "delta eta", lambda v: _run_gamma(
+            "gamma": Mode("check_below", "delta eta", lambda v: _run_gamma(
                 v, "gamma", vol.gamma_constant(v["delta"], v["eta"]))),
-            "gamma-tilde": Mode("delta check_below", "delta", lambda v: _run_gamma(
+            "gamma-tilde": Mode("check_below", "delta", lambda v: _run_gamma(
                 v, "gamma_tilde", vol.gamma_tilde_cube(v["delta"]))),
             "p-star": Mode("", "", _run_p_star),
-            "radius": Mode("p d", "p d", _run_radius),
-            "limit-ratio": Mode("p", "p", _run_limit_ratio),
-            "ball-volume": Mode("p d", "p d", _run_ball_volume),
+            "radius": Mode("", "p d", _run_radius),
+            "limit-ratio": Mode("", "p", lambda v: _constant(
+                "limit_ratio", "formula", p=v["p"], value=geo.radius_limit_ratio(v["p"]),
+                small_radius_threshold=geo.SMALL_RADIUS_THRESHOLD)),
+            "ball-volume": Mode("", "p d", lambda v: _constant(
+                "ball_volume", "formula", p=v["p"], d=v["d"],
+                volume=geo.lp_unit_ball_volume(v["p"], v["d"]),
+                log_volume=geo.lp_unit_ball_volume_log(v["p"], v["d"]))),
         },
     ),
     "volume": Command(
         help="Monte Carlo volume vs analytic bound",
         flags={"domain": {"default": "cube"}, "d": _int(), "n": _int(), "points_csv": {},
                "delta": _float(), "samples": _int(), "seed": _int()},
-        select=lambda v: "--points-csv" if v.get("points_csv") else "--n",
-        label="{key}",
-        modes={
-            "--points-csv": Mode("domain d delta samples seed", "seed d delta samples",
-                                 _run_volume),
-            "--n": Mode("domain d n delta samples seed", "seed d delta samples n", _run_volume),
-        },
+        modes={"": Mode("domain", "seed d delta samples n|points_csv", _run_volume)},
     ),
     "fool-check": Command(
         help="fooling-function invariant suite",
@@ -510,14 +500,13 @@ _COMMANDS = {
                "lipschitz": _float(), "pairs": _int(2000), "samples": _int(1000),
                "seed": _int()},
         select="variant",
-        label="--variant {key}",
         modes={
             "c0": Mode(
-                "d n lipschitz pairs seed", "seed d n",
+                "lipschitz pairs", "seed d n",
                 lambda v: (checks.fool_check_c0(v["d"], v["n"], _lipschitz(v), v["pairs"],
                                                 v["seed"]), None)),
             "c1": Mode(
-                "d n delta pairs samples seed", "seed d n delta",
+                "pairs samples", "seed d n delta",
                 lambda v: (checks.fool_check_c1(v["d"], v["n"], v["delta"], v["pairs"],
                                                 v["seed"], samples=v["samples"]), None)),
         },
@@ -526,10 +515,8 @@ _COMMANDS = {
         help="convolution smoothing suite",
         flags={"d": _int(), "n": _int(), "delta": _float(), "k": _int(), "samples": _int(),
                "seed": _int()},
-        select=lambda v: "",
-        label="",
         modes={"": Mode(
-            "d n delta k samples seed", "seed d n delta k samples",
+            "", "seed d n delta k samples",
             lambda v: (checks.smooth_check(v["d"], v["n"], v["delta"], v["k"], v["samples"],
                                            v["seed"]), None))},
     ),
@@ -545,12 +532,11 @@ _COMMANDS = {
             "samples": _int(20000), "seed": _int(),
         },
         select="algorithm",
-        label="--algorithm {key}",
         modes={
-            "taylor": Mode("d j amplitude a_norm max_evals seed", "seed d j", _run_taylor,
+            "taylor": Mode("amplitude a_norm max_evals", "seed d j", _run_taylor,
                            switch=("fd", "h")),
             "one-point": Mode(
-                "d lipschitz samples seed", "seed d",
+                "lipschitz samples", "seed d",
                 lambda v: (checks.one_point_check_c0(v["d"], _lipschitz(v), v["samples"],
                                                      v["seed"]), None)),
         },
@@ -566,16 +552,15 @@ _COMMANDS = {
             "m": _float(1.0), "k": _int(1), "alpha": _float(1.0),
         },
         select="which",
-        label="--which {key}",
         modes={
             "lipschitz-lower": _bound(
-                "eps eps_list lip a", "eps|eps_list",
+                "lip a", "eps|eps_list",
                 lambda v, d, eps: bd.lb_lipschitz(eps, d, v["lip"], v["a"])),
             "gradient-cube-lower": _bound(
-                "eps eps_list", "eps|eps_list",
+                "", "eps|eps_list",
                 lambda v, d, eps: bd.lb_lipschitz_gradient_cube(eps, d)),
             "higher-lower": _bound(
-                "eps eps_list growth", "eps|eps_list",
+                "growth", "eps|eps_list",
                 lambda v, d, eps: bd.lb_higher_smoothness(eps, d, v["growth"])),
             "one-point-c0": _bound(
                 "lip big_r tail", "",
@@ -586,10 +571,10 @@ _COMMANDS = {
                 "j lip big_r", "",
                 lambda v, d, eps: bd.ub_taylor(v["j"], v["lip"], d, v["big_r"])),
             "qpt-cost": _bound(
-                "eps eps_list c a", "eps|eps_list",
+                "c a", "eps|eps_list",
                 lambda v, d, eps: bd.quasi_poly_cost_bound(eps, d, v["c"], v["a"])),
             "unit-class-cost": _bound(
-                "eps eps_list rad", "eps|eps_list",
+                "rad", "eps|eps_list",
                 lambda v, d, eps: bd.unit_derivative_cost_bound(
                     eps, d, v["rad"] if "rad" in v else math.sqrt(d) / 2.0)),
             "uwt-witness": _bound(
@@ -612,10 +597,10 @@ _COMMANDS = {
         select=_classify_mode,
         label="--k {k}",
         modes={
-            "inf": Mode("kind family level0 tail_constant tail_base tail_factorial_power "
-                        "tail_shift tail_u tail_v d", "family level0 tail_constant",
+            "inf": Mode("kind tail_base tail_factorial_power tail_shift tail_u tail_v d",
+                        "family level0 tail_constant",
                         lambda v: _run_classify(v, _infinite_profile)),
-            "finite": Mode("kind family levels d", "family levels",
+            "finite": Mode("kind d", "family levels",
                            lambda v: _run_classify(v, _finite_profile)),
         },
     ),
@@ -648,14 +633,17 @@ def build_parser() -> _Parser:
 def _mode(name: str, command: Command, values: dict, given: set[str]) -> Mode:
     """The mode the values select, once no flag it does not read was given
     and every flag it requires was: one flag of each ``a|b`` group."""
-    if callable(command.select):
+    if command.select is None:
+        (key,) = command.modes
+    elif callable(command.select):
         key = command.select(values)
     elif command.select in values:
         key = values[command.select]
     else:
         raise CliError(f"{_flag(command.select)} is required")
     mode = command.modes[key]
-    label = command.label.format(key=key, **values)
+    label = (f"{_flag(command.select)} {key}" if isinstance(command.select, str)
+             else command.label.format(key=key, **values))
     switched = bool(mode.switch) and values[mode.switch[0]]
     if mode.switch:
         label += f" {_flag(mode.switch[0])}" if switched else f" without {_flag(mode.switch[0])}"

@@ -233,22 +233,22 @@ def _ramp_levels(delta: float, k: int) -> list[tuple[float, float]]:
 
     L_0 = 2/(delta sqrt(d)) and L_j = 40/(delta^2 d) ((k-1)/delta)^{j-1}
     for j = 1..k, as (constant, d exponent) pairs; k = 1 is the c1
-    certificate, and k = 0 leaves L_0 alone.  A delta so small that a
-    constant leaves the float range raises :class:`FloatingPointError`.
+    certificate, and k = 0 leaves L_0 alone.  A constant beyond the float
+    range, above it or down to zero, raises :class:`FloatingPointError`.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    overflow = f"delta = {delta:g} puts a certified constant beyond the float range"
     try:
         base = 40.0 / (delta * delta)
         levels = [(2.0 / delta, -0.5)] + [
             (base * ((k - 1) / delta) ** (j - 1), -1.0) for j in range(1, k + 1)
         ]
+        if all(0.0 < c < math.inf for c, _ in levels):
+            return levels
     except (ZeroDivisionError, OverflowError):
-        raise FloatingPointError(overflow) from None
-    if not all(math.isfinite(c) for c, _ in levels):
-        raise FloatingPointError(overflow)
-    return levels
+        pass
+    raise FloatingPointError(f"delta = {delta:g} at class order {k} puts a "
+                             "certified constant beyond the float range")
 
 
 def fooling_c1(hull: PointSet, delta: float) -> FoolingFunction:

@@ -235,29 +235,27 @@ def _minor_cycles(pts, queries, weights, active, iterations, rows, max_iter) -> 
 
 
 def _wolfe_block(ps: PointSet, queries: np.ndarray, max_iter: int, start):
-    """Wolfe's method in lockstep over one block of queries, from each
-    query's nearest vertex or from the rows of the ``start`` mask."""
+    """Wolfe's method in lockstep over one block of queries, from the rows
+    of the ``start`` mask; without one, from each query's nearest vertex."""
     pts = ps.points
     b = queries.shape[0]
-    every = np.arange(b)
     iterations = np.zeros(b, dtype=np.int64)
     gap = np.zeros(b)
     stalled = np.zeros(b, dtype=bool)
     if start is None:
-        nearest = np.argmin(ps._norms2[None, :] - 2.0 * (queries @ pts.T), axis=1)
-        active = np.zeros((b, ps.n), dtype=bool)
-        active[every, nearest] = True
-        weights = active.astype(float)
-    else:
-        # The barycentre gives every vertex of its set a positive weight,
-        # as the minor cycles' ratio test needs; they carry it to the set's
-        # affine minimizer, dropping vertices until that is convex: the
-        # state Wolfe's major cycle expects.
-        active = start.copy()
-        weights = active / active.sum(axis=1, keepdims=True)
-        _minor_cycles(pts, queries, weights, active, iterations, every, max_iter)
+        start = np.zeros((b, ps.n), dtype=bool)
+        start[np.arange(b), np.argmin(ps._norms2 - 2.0 * (queries @ pts.T), axis=1)] = True
+    # The barycentre gives every vertex of its set a positive weight, as
+    # the minor cycles' ratio test needs; they carry it to the set's affine
+    # minimizer, dropping vertices until that is convex: the state Wolfe's
+    # major cycle expects.  A single vertex is its own affine minimizer.
+    active = start.copy()
+    count = active.sum(axis=1, keepdims=True)
+    weights = active / count
+    _minor_cycles(pts, queries, weights, active, iterations,
+                  np.flatnonzero(count > 1), max_iter)
 
-    rows = every
+    rows = np.arange(b)
     while rows.size:
         # Major cycle: the vertex minimizing <z, q_j> certifies optimality
         # (gap <= _TOL (1 + ||z||)) or joins the active set.
@@ -313,10 +311,10 @@ def project_batch(ps: PointSet, queries: np.ndarray, start=None) -> BatchProject
     A query starts from its nearest vertex, or, given ``start`` (a bool
     mask over the n points: one row for every query, or one row per
     query), from the barycentre of its row, moved to that set's affine
-    minimizer by minor cycles before the first major cycle.  A start
-    changes the path, not the stopping rule: a start on the query's
-    optimal face converges in one cycle, a wrong one costs cycles only.
-    An empty start row is refused.
+    minimizer by minor cycles before the first major cycle; one vertex
+    needs none.  A start changes the path, not the stopping rule: a start
+    on the query's optimal face converges in one cycle, a wrong one costs
+    cycles only.  An empty start row is refused.
     """
     queries = _as_queries(ps, queries)
     if start is not None:

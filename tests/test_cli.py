@@ -311,7 +311,16 @@ def test_volume_points_csv_does_not_read_n(tmp_path, capsys):
                  "--n", "3", "--delta", "0.05", "--samples", "2000", "--seed", "3"],
     )
     assert code == 1
-    assert "volume --points-csv does not read --n" in err
+    assert "--n and --points-csv cannot both be given" in err
+
+
+def test_no_mode_names_a_required_flag_among_its_reads():
+    # A required flag is named once, in ``requires``, and read from there.
+    for name, command in cli._COMMANDS.items():
+        for key, mode in command.modes.items():
+            required = set(mode.requires.replace("|", " ").split())
+            assert not required & set(mode.reads.split()), (name, key)
+            assert required <= mode.flags_read(False), (name, key)
 
 
 def test_quad_taylor_subcommand(tmp_path):

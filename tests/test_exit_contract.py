@@ -38,7 +38,10 @@ TEXT = {
 # so that their runs get past validation.
 VALUES = {"samples": SIZES + ["1000"]}
 
-MODES = [(name, key) for name, command in cli._COMMANDS.items() for key in command.modes]
+MODES = [(name, key, None) for name, command in cli._COMMANDS.items() for key in command.modes]
+# volume's one mode takes --n or --points-csv: beside the case that draws
+# either, both or neither, a case each that always gives one of them.
+MODES += [("volume", "", "n"), ("volume", "", "points_csv")]
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +71,7 @@ def _values(dest: str, spec: dict, points_csv: str):
 
 
 @st.composite
-def _argv(draw, name: str, key: str, points_csv: str) -> list[str]:
+def _argv(draw, name: str, key: str, always, points_csv: str) -> list[str]:
     command = cli._COMMANDS[name]
     mode = command.modes[key]
     flags = cli._flags(command)
@@ -80,11 +83,12 @@ def _argv(draw, name: str, key: str, points_csv: str) -> list[str]:
     elif name == "constants":
         argv.append("--" + key)
         selected.add(key.replace("-", "_"))
-    elif name == "volume":
-        selected.add(key[2:].replace("-", "_"))
     elif name == "classify":
         argv += ["--k", "inf" if key == "inf" else draw(st.sampled_from(["0", "1", "-1", "1.5"]))]
         selected.add("k")
+    if always:
+        argv += [cli._flag(always), draw(_values(always, flags[always], points_csv))]
+        selected.add(always)
     switched = bool(mode.switch) and draw(st.booleans())
     if mode.switch:  # a switch is given bare or not at all, never with a value
         selected.add(mode.switch[0])
@@ -165,11 +169,12 @@ def _run(argv: list[str]) -> tuple[int, str, str, list]:
     return code, out.getvalue(), err.getvalue(), caught
 
 
-@pytest.mark.parametrize("name,key", MODES, ids=[f"{n}:{k or '-'}" for n, k in MODES])
-def test_every_mode_keeps_the_exit_contract(points_csv, name, key):
+@pytest.mark.parametrize("name,key,always", MODES,
+                         ids=[f"{n}:{cli._flag(a) if a else k or '-'}" for n, k, a in MODES])
+def test_every_mode_keeps_the_exit_contract(points_csv, name, key, always):
     @settings(max_examples=12, derandomize=True, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(_argv(name, key, points_csv))
+    @given(_argv(name, key, always, points_csv))
     def check(argv):
         code, out, err, caught = _run(argv)
         assert code in (0, 1, 2, 3), argv
@@ -211,6 +216,19 @@ def test_every_mode_keeps_the_exit_contract(points_csv, name, key):
     # A list of 5.6e14 chunk sizes: a MemoryError traceback with an empty message.
     (["volume", "--domain", "cube", "--d", "5", "--n", "8", "--delta", "0.05",
       "--samples", str(2**63), "--seed", "1"], 1, "needs more memory than is available"),
+    # The two points of a Lipschitz pair equal in floating point: a
+    # ZeroDivisionError traceback.
+    (["smooth-check", "--d", "3", "--n", "4", "--delta", "1e-16", "--k", "2",
+      "--samples", "1000", "--seed", "1"], 3, "delta = 1e-16 makes the two points"),
+    # ((k-1)/delta)^(j-1) overflowed at class order 401, and the message
+    # blamed delta = 0.3 alone.
+    (["smooth-check", "--d", "5", "--n", "8", "--delta", "0.3", "--k", "400",
+      "--samples", "1000", "--seed", "1"], 3, "delta = 0.3 at class order 401 puts"),
+    # 40/delta^2 underflowed to 0.0 and its log exited 1 with "math domain error".
+    (["fool-check", "--variant", "c1", "--d", "5", "--n", "8", "--delta", "1e200",
+      "--seed", "1"], 3, "beyond the float range"),
+    (["smooth-check", "--d", "5", "--n", "8", "--delta", "1e200", "--k", "3",
+      "--samples", "1000", "--seed", "1"], 3, "beyond the float range"),
 ])
 def test_found_escapes_keep_the_contract(argv, code, needle):
     got, out, err, caught = _run(argv)

@@ -326,6 +326,17 @@ def test_certificate_smoothed_first_order_matches_c1():
         assert ratio == pytest.approx(4.0 / delta, rel=1e-12)
 
 
+@pytest.mark.parametrize("delta,k", [(0.3, 401), (1e200, 1), (1e10, 400)])
+def test_certificate_beyond_the_float_range_names_delta_and_order(delta, k):
+    # ((k-1)/delta)^(j-1) above the float range at delta = 0.3, and below
+    # it (a constant of zero, whose log is undefined) where 40/delta^2 or
+    # the power underflows.
+    with pytest.raises(FloatingPointError) as caught:
+        fooling.fooling_smoothed(_hull(5), delta, k)
+    assert str(caught.value) == (f"delta = {delta:g} at class order {k} puts a certified "
+                                 "constant beyond the float range")
+
+
 def test_certificate_smoothed_single_order():
     cert = fooling.fooling_smoothed(_hull(4), 0.1, k=1).certificate
     assert cert.value(1, 4) == pytest.approx(40.0 / (0.01 * 4), rel=1e-12)

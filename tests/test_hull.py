@@ -557,6 +557,22 @@ def test_project_batch_started_on_the_final_face_converges_at_once(d, n):
     _assert_same_distances(warm, cold)
 
 
+@pytest.mark.parametrize("d,n", [(5, 8), (40, 64)])
+def test_project_batch_from_the_nearest_vertex_alone_is_the_cold_solve(d, n):
+    # A one-vertex start is its own affine minimizer, so it runs no minor
+    # cycle before the first major one: every field of the cold solve,
+    # the cycle count included.
+    ps, queries = _batch_case(d, n, seed=d * n)
+    cold = hull.project_batch(ps, queries)
+    sq = ((queries[:, None, :] - ps.points[None, :, :]) ** 2).sum(axis=2)
+    start = np.zeros((len(queries), ps.n), dtype=bool)
+    start[np.arange(len(queries)), np.argmin(sq, axis=1)] = True
+    warm = hull.project_batch(ps, queries, start)
+    assert cold.iterations.max() > 2
+    for field in ("distance", "weights", "active", "iterations", "gap", "stalled"):
+        assert np.array_equal(getattr(warm, field), getattr(cold, field)), field
+
+
 @pytest.mark.parametrize("d,n", [(2, 8), (3, 12), (5, 16)])
 def test_project_batch_recovers_from_misleading_starts(monkeypatch, d, n):
     ps, queries = _batch_case(d, n, seed=5 * d + n)
