@@ -171,7 +171,8 @@ def fool_check_c1(
     points; exact one at ``samples`` points certified beyond the double
     neighborhood; and agreement of the analytic gradient with central
     differences away from the ramp breakpoints and from changes of the
-    hull face (relative error at most 1e-5 at step 1e-5 sqrt(d)).
+    hull face (relative error at most 1e-5 at step 2e-3 delta sqrt(d),
+    a fixed share of the ramp's width).
     """
     _require_count("pairs", pairs)
     _require_count("samples", samples)
@@ -218,8 +219,9 @@ def fool_check_c1(
     # r_f = f.delta sqrt(d) (r, for the f built from delta) to 2 r_f.  Test
     # points sit mid-ramp: the ramp profile is only piecewise smooth, and
     # near its inner boundary the hull-distance curvature (order 1/r_f)
-    # makes the truncation error of the pinned step exceed the tolerance
-    # even for an exact gradient.  A stencil must also stay on one piece
+    # makes the truncation error exceed the tolerance even for an exact
+    # gradient.  The step scales with the ramp, so that truncation error,
+    # of order (step / r_f)^2, is the same at every delta.  A stencil must also stay on one piece
     # of the ramp and on one face of the hull: moving by the step changes
     # the distance by at most the step, so points within a step of a
     # breakpoint gap (sqrt(t1) = r_f/2, sqrt(t2) = r_f) are excluded, and
@@ -227,7 +229,7 @@ def fool_check_c1(
     # since the hull distance's second derivative jumps there.
     rng_grad = substream(seed, 4)
     r_f = f.delta * math.sqrt(d)
-    step = 1e-5 * math.sqrt(d)
+    step = 2e-3 * r_f
     root_breaks = np.array([r_f / 2.0, r_f])
     offsets = step * np.vstack([np.eye(d), -np.eye(d)])
     checked = 0

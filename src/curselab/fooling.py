@@ -228,31 +228,37 @@ def fooling_c0(hull: PointSet, lipschitz: float) -> FoolingFunction:
     return FoolingFunction(variant="c0", hull=hull, certificate=cert, lipschitz=lipschitz)
 
 
-def _ramp_levels(delta: float, k: int) -> list[tuple[float, float]]:
+def _ramp_levels(delta: float, k: int) -> tuple[tuple[float, float], ...]:
     """Certified levels 0..k of the c1 ramp smoothed by k-1 uniform kernels.
 
     L_0 = 2/(delta sqrt(d)) and L_j = 40/(delta^2 d) ((k-1)/delta)^{j-1}
-    for j = 1..k, as (constant, d exponent) pairs; k = 1 is the c1
-    certificate, and k = 0 leaves L_0 alone.  A constant beyond the float
-    range, above it or down to zero, raises :class:`FloatingPointError`.
+    for j = 1..k, as the (log constant, d exponent) pairs of
+    :class:`SmoothnessProfile`; k = 1 is the c1 certificate, and k = 0
+    leaves L_0 alone.  Orders j >= 2 are built in log domain, log L_1 +
+    (j - 1) log((k - 1)/delta), so they may leave the float range while
+    their logs stay finite.  The checks read L_0 and L_1 as floats, and
+    the ramp itself is evaluated at delta sqrt(d) and delta^2 d, so a
+    constant of L_0 or L_1 beyond the float range, above it or down to
+    zero, raises :class:`FloatingPointError`.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     try:
-        base = 40.0 / (delta * delta)
-        levels = [(2.0 / delta, -0.5)] + [
-            (base * ((k - 1) / delta) ** (j - 1), -1.0) for j in range(1, k + 1)
-        ]
-        if all(0.0 < c < math.inf for c, _ in levels):
-            return levels
-    except (ZeroDivisionError, OverflowError):
-        pass
-    raise FloatingPointError(f"delta = {delta:g} at class order {k} puts a "
-                             "certified constant beyond the float range")
+        floats = [2.0 / delta, 40.0 / (delta * delta)][:k + 1]
+    except ZeroDivisionError:
+        floats = [math.inf]
+    if not all(0.0 < c < math.inf for c in floats):
+        raise FloatingPointError(f"delta = {delta:g} at class order {k} puts a "
+                                 "certified constant beyond the float range")
+    levels = [(math.log(floats[0]), -0.5)]
+    if k >= 1:
+        growth = math.log(k - 1) - math.log(delta) if k >= 2 else 0.0
+        levels += [(math.log(floats[1]) + (j - 1) * growth, -1.0) for j in range(1, k + 1)]
+    return tuple(levels)
 
 
 def fooling_c1(hull: PointSet, delta: float) -> FoolingFunction:
-    cert = SmoothnessProfile.finite(_ramp_levels(delta, 1))
+    cert = SmoothnessProfile("directional", _ramp_levels(delta, 1))
     return FoolingFunction(variant="c1", hull=hull, certificate=cert, delta=delta)
 
 
@@ -265,7 +271,7 @@ def fooling_smoothed(hull: PointSet, delta: float, k: int) -> FoolingFunction:
     return FoolingFunction(
         variant="smoothed",
         hull=hull,
-        certificate=SmoothnessProfile.finite(_ramp_levels(delta, k)),
+        certificate=SmoothnessProfile("directional", _ramp_levels(delta, k)),
         delta=delta,
         seq=seq,
         kernels=kernels,
@@ -281,7 +287,6 @@ def fooling_cinf(
     L_j = 40/d * delta^{-1-j} c_eta^{1-j} ((j-1)!)^{1+eta}.
     """
     seq = make_alpha_sequence("power", eta=eta)
-    (level0,) = _ramp_levels(delta, 0)
     tail = TailRule(
         log_constant=math.log(40.0 * seq.c_eta / delta),
         log_base=math.log(1.0 / (delta * seq.c_eta)),
@@ -292,7 +297,7 @@ def fooling_cinf(
     return FoolingFunction(
         variant="cinf_truncated",
         hull=hull,
-        certificate=SmoothnessProfile.infinite(level0, tail),
+        certificate=SmoothnessProfile("directional", _ramp_levels(delta, 0), tail),
         delta=delta,
         seq=seq,
         kernels=k,

@@ -20,15 +20,19 @@ Many callers only need to know on which side of a radius a query's
 hull distance lies.  One verdict, :func:`bracket`, answers that for
 the whole library: cheap certified bounds (nearest-vertex upper bound,
 support-function lower bound, a vectorized Gilbert refinement) settle
-most queries, and the solver projects the rest in the same call.  The
-first round's bounds come from the products ``queries @ points.T`` that
-find each query's nearest vertex and from the point set's Gram matrix,
-so only the queries it leaves open are gathered.  Both cuts are widened
-by the solver's own slack, so a settled query gets the verdict the
-solver would give it.  :func:`within_distance` (the Monte Carlo volume
-estimators and the far-point sampler of the checks) asks it at one
-radius; the c1 fooling values ask it at ``r`` and ``2r``, since they
-are exactly 0 or 1 outside that ramp.
+most queries, and the solver projects the rest in the same call.  With
+n <= d points the hull lies in their affine hull, a flat of dimension
+n - 1 whose orthonormal basis the point set holds, and each query's
+distance to it, one d x (n - 1) product, first settles the queries far
+from that flat.  The next round's bounds come from the products
+``queries @ points.T`` that find each query's nearest vertex and from
+the point set's Gram matrix, so only the queries it leaves open are
+gathered.  Every cut is widened by the solver's own slack, so a settled
+query gets the verdict the solver would give it.
+:func:`within_distance` (the Monte Carlo volume estimators and the
+far-point sampler of the checks) asks it at one radius; the c1 fooling
+values ask it at ``r`` and ``2r``, since they are exactly 0 or 1
+outside that ramp.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rng import substream
+from .rng import _BLOCK_ENTRIES, substream
 
 __all__ = [
     "PointSet",
@@ -64,6 +68,13 @@ class PointSet:
     only); affinely dependent points are fine.  If ``domain`` is given,
     membership of every point is checked.  Nothing is mutated after
     construction, so sharing one instance across threads is safe.
+
+    With n - 1 < d the hull lies in the affine hull of the points, a
+    flat of dimension at most n - 1: an orthonormal basis of the span of
+    ``p_j - p_0`` (d x (n - 1), Householder QR, every column kept
+    whatever the rank) and the largest ``||p_j - p_0||`` are stored for
+    :func:`bracket`'s first cut.  With n - 1 >= d the flat is all of
+    R^d and nothing is stored.
     """
 
     def __init__(self, points: np.ndarray, domain=None):
@@ -84,6 +95,11 @@ class PointSet:
                 raise ValueError(f"point {bad} lies outside the domain")
         self._norms2 = np.einsum("ij,ij->i", pts, pts)
         self._gram = pts @ pts.T
+        self._flat = None
+        if self.n - 1 < self.d:
+            spread = pts[1:] - pts[0]
+            reach = float(np.sqrt(np.einsum("ij,ij->i", spread, spread).max(initial=0.0)))
+            self._flat = (np.linalg.qr(spread.T)[0], reach)
 
     @staticmethod
     def from_csv(path, domain=None) -> "PointSet":
@@ -379,8 +395,53 @@ def _solver_slack(r: float) -> float:
     1e-12 from a vertex can get a nearest-vertex distance of 0), so
     :func:`bracket` certifies no row within an inner cut of zero and
     forms its first bounds without the expanded products there.
+
+    The cut from the points' affine hull (:func:`_beyond_flat`) has a
+    margin of its own, and at ``r = 0`` it is the only one.  Let u be the
+    unit roundoff, eps = 2u, k = n - 1 < d, M = max_j ||p_j - p_0||, and
+    v = x - p_0; bounds are to first order in u.  LAPACK's Householder
+    QR (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    Lemma 19.3 and Theorem 19.4) applies k reflectors to the rounded
+    differences a_j, each formed and applied with one inner product and
+    one update of length d, so with a relative error of about 2(d + 2)u:
+    there is an exactly orthonormal Q' with ``||Q - Q'||_F <= 2 k^{1/2}
+    k (d + 2) u`` and every a_j within ``2k(d + 2)u ||a_j||`` of span Q',
+    so every p_j, and with them the whole hull (the distance to a flat
+    is convex), lies within ``(1 + 2k(d + 2)) u M`` of the flat F' =
+    p_0 + span Q'.  No column is dropped, whatever the rank: Q'R
+    reproduces dependent columns too, and a truncated basis would leave
+    points off the flat, a wrong bound rather than a weak one.  The
+    residual ``||v - Q(Q^T v)||`` then differs from dist(x, F') by at
+    most ``u ||v||`` (rounding v), ``2 k^{1/2} 2k(d + 2) u ||v||`` (Q for
+    Q'), ``k^{1/2} (d + k) u ||v||`` (the two products, as ``|| |Q| ||
+    <= k^{1/2}``) and ``(d/2 + 2) u ||v||`` (the difference and the
+    norm).  The coefficients of ||v|| sum to at most gamma eps, and so
+    does that of M, for gamma = ``2 (d + 2) (k + 1)^{3/2}``; so
+    ``dist(x, hull) >= residual - gamma eps (||v|| + M)``, and a row is
+    certified beyond ``r`` only where the right side exceeds it.  At
+    n = 1 (k = 0) the residual is the computed distance to the single
+    vertex and gamma = 2(d + 2).
     """
     return 2.0 * _TOL * (1.0 + r) / r if r > 0.0 else 0.0
+
+
+def _beyond_flat(ps: PointSet, queries: np.ndarray, r: float) -> np.ndarray:
+    """Mask of the rows whose distance to the affine hull of ``ps``, less
+    the rounding margin derived at :func:`_solver_slack`, exceeds ``r``:
+    a certified lower bound on the hull distance, one d x k product per
+    row.  Only for point sets that store a basis (n - 1 < d).  Rows go
+    in blocks of ``_BLOCK_ENTRIES // d`` (1 MiB per array), so the
+    temporaries are reused, not paged in afresh for every call."""
+    basis, reach = ps._flat
+    gamma = 2.0 * (ps.d + 2) * (basis.shape[1] + 1) ** 1.5 * np.finfo(float).eps
+    block = max(1, _BLOCK_ENTRIES // ps.d)
+    beyond = np.empty(len(queries), dtype=bool)
+    for lo in range(0, len(queries), block):
+        v = queries[lo:lo + block] - ps.points[0]
+        margin = gamma * (np.sqrt(np.einsum("ij,ij->i", v, v)) + reach)
+        v -= (v @ basis) @ basis.T
+        beyond[lo:lo + block] = np.sqrt(np.einsum("ij,ij->i", v, v)) - margin > r
+    return beyond
 
 
 def bracket(
@@ -397,6 +458,10 @@ def bracket(
     At ``r_in = 0`` no row is certified within, and round one's bounds
     are formed from the differences themselves, so the solver decides
     every row the outer cut leaves.
+    When ``ps`` stores the basis of its affine hull (n - 1 < d), every
+    row's distance to that flat, a lower bound on its hull distance, is
+    taken first (:func:`_beyond_flat`): the rows it certifies beyond
+    ``r_out``, with a rounding margin of its own, skip the rounds below.
     The nearest-vertex distance is an upper bound; the support function
     in the direction of the current residual is a lower bound; a
     Gilbert-type line search tightens both for up to ``_REFINE_ITERS``
@@ -417,24 +482,30 @@ def bracket(
     pts = ps.points
     m = queries.shape[0]
     inside = np.zeros(m, dtype=bool)
-    outside = np.zeros(m, dtype=bool)
+    if ps._flat is None:
+        outside = np.zeros(m, dtype=bool)
+        alive, first = np.arange(m), queries
+    else:
+        outside = _beyond_flat(ps, queries, r_out)
+        alive = np.flatnonzero(~outside)
+        first = queries[alive]
 
     # Nearest vertex b: d2[i, k] = ||x_i - p_k||^2.  Round one reads off
     # these products: with z = x - p_b, ||z||^2 = d2[:, b], <z, x> =
     # q2 - cross[:, b] and <z, p_k> = cross[:, k] - G[b, k].  Only the rows
     # it leaves undecided gather their x and y.
-    cross = queries @ pts.T
-    q2 = np.einsum("ij,ij->i", queries, queries)
+    cross = first @ pts.T
+    q2 = np.einsum("ij,ij->i", first, first)
     d2 = q2[:, None] + ps._norms2[None, :] - 2.0 * cross
-    alive = np.arange(m)
     best = np.argmin(d2, axis=1)
     if exact:
         # A cut of zero is below the products' rounding: round one forms
         # z = x - p_b itself, which is zero only at the vertex.
-        x, y = queries, pts[best]
+        x, y = first, pts[best]
     else:
-        zn = np.sqrt(np.maximum(d2[alive, best], 0.0))
-        zx = q2 - cross[alive, best]
+        row = np.arange(len(alive))
+        zn = np.sqrt(np.maximum(d2[row, best], 0.0))
+        zx = q2 - cross[row, best]
         zp = cross
         zp -= ps._gram[best]
         x = y = None
@@ -461,7 +532,7 @@ def bracket(
         alive = alive[keep]
         if x is None:
             x = queries[alive]
-            y = pts[best[alive]]
+            y = pts[best[keep]]
         else:
             x = x[keep]
             y = y[keep]

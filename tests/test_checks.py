@@ -43,6 +43,42 @@ def test_fool_check_c1_fd_gradient_detects_a_perturbed_gradient(monkeypatch):
     assert res["grad_fd_max_rel_err"]["value"] > 1e-5
 
 
+GRAD_SWEEP = [0.05, 5e-3, 2e-3, 1e-3, 1e-4, 1e-5, 1e-6]
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("delta", GRAD_SWEEP)
+def test_fool_check_c1_fd_gradient_passes_at_every_delta(d, delta):
+    # A step pinned at 1e-5 sqrt(d) failed this for every delta <= 0.002:
+    # its truncation error grows as (step / r)^2 on a ramp r = delta sqrt(d)
+    # wide, and below delta = 5e-5 every point lay within a step of a
+    # breakpoint, so none was checked.
+    for seed in (1, 2, 3):
+        res = checks.fool_check_c1(d, 8, delta, pairs=50, seed=seed, samples=50)
+        assert res["grad_fd_points"] == 40
+        assert res["grad_fd_pass"], (seed, res["grad_fd_max_rel_err"]["value"])
+        assert res["pass"]
+
+
+@pytest.mark.parametrize("delta", GRAD_SWEEP)
+def test_fool_check_c1_fd_gradient_detects_a_perturbed_gradient_at_every_delta(
+    monkeypatch, delta
+):
+    exact = checks.fooling_eval_batch
+
+    def perturbed(*args, **kwargs):
+        out = exact(*args, **kwargs)
+        if out.gradients is None:
+            return out
+        return out._replace(gradients=out.gradients * (1.0 + 1e-4))
+
+    monkeypatch.setattr(checks, "fooling_eval_batch", perturbed)
+    for d in (3, 5):
+        res = checks.fool_check_c1(d, 8, delta, pairs=50, seed=1, samples=50)
+        assert res["grad_fd_points"] == 40
+        assert not res["grad_fd_pass"]
+
+
 @pytest.mark.parametrize("use_fd", [False, True])
 def test_quad_cost_check_fails_when_a_rule_exceeds_its_prediction(monkeypatch, use_fd):
     exact = checks.quad_taylor

@@ -326,15 +326,29 @@ def test_certificate_smoothed_first_order_matches_c1():
         assert ratio == pytest.approx(4.0 / delta, rel=1e-12)
 
 
-@pytest.mark.parametrize("delta,k", [(0.3, 401), (1e200, 1), (1e10, 400)])
+@pytest.mark.parametrize("delta,k", [(1e200, 1), (1e200, 4), (1e-300, 2)])
 def test_certificate_beyond_the_float_range_names_delta_and_order(delta, k):
-    # ((k-1)/delta)^(j-1) above the float range at delta = 0.3, and below
-    # it (a constant of zero, whose log is undefined) where 40/delta^2 or
-    # the power underflows.
+    # L_1 = 40/delta^2 below the float range at delta = 1e200 (a constant
+    # of zero, whose log is undefined) and above it at 1e-300.
     with pytest.raises(FloatingPointError) as caught:
         fooling.fooling_smoothed(_hull(5), delta, k)
     assert str(caught.value) == (f"delta = {delta:g} at class order {k} puts a certified "
                                  "constant beyond the float range")
+
+
+@pytest.mark.parametrize("delta,k", [(0.3, 401), (1e10, 400)])
+def test_certificate_levels_beyond_the_float_range_stay_in_logs(delta, k):
+    # ((k-1)/delta)^(j-1) leaves the float range (above it at delta = 0.3,
+    # below it at 1e10), but its log does not: only L_0 and L_1 are read
+    # as floats.
+    d = 5
+    cert = fooling.fooling_smoothed(_hull(d), delta, k).certificate
+    for j in (1, k // 2, k):
+        expected = (math.log(40.0) - 2.0 * math.log(delta) - math.log(d)
+                    + (j - 1) * math.log((k - 1) / delta))
+        assert cert.log_value(j, d) == pytest.approx(expected, rel=1e-12)
+    assert abs(cert.log_value(k, d)) > 745.0  # L_k itself is no float
+    assert 0.0 < cert.value(0, d) < math.inf and 0.0 < cert.value(1, d) < math.inf
 
 
 def test_certificate_smoothed_single_order():

@@ -631,3 +631,85 @@ def test_bracket_with_a_start_matches_the_solver_at_the_cut(kind):
         inside[rows] = warm.distance <= r
         assert np.array_equal(inside[fine], (solver.distance <= r)[fine])
         assert not np.any(outside[inside])
+
+
+# ---------------------------------------------------------------------------
+# The cut from the points' affine hull
+
+
+def _flat_case(d, n, kind, seed):
+    """Points in general position, on a line, or within 1e-12 of a 2-flat,
+    and queries: the vertices, hull points, other points of the affine
+    hull, points within 1e-12 of it, and points far from it."""
+    rng = np.random.default_rng(seed)
+    if kind == "general":
+        pts = rng.random((n, d))
+    elif kind == "collinear":
+        a, b = rng.random((2, d))
+        pts = a + rng.random((n, 1)) * (b - a)
+    else:
+        a, u, v = rng.random((3, d))
+        pts = a + rng.random((n, 1)) * u + rng.random((n, 1)) * v
+        pts += 1e-12 * rng.standard_normal((n, d))
+    ps = hull.PointSet(pts)
+    weights = rng.dirichlet(np.ones(ps.n), size=30)
+    affine = 1.0 + rng.standard_normal((30, ps.n))
+    affine /= affine.sum(axis=1, keepdims=True)
+    on_flat = np.vstack([weights, affine]) @ ps.points
+    nudge = rng.standard_normal(on_flat.shape)
+    nudge *= 1e-12 / np.linalg.norm(nudge, axis=1, keepdims=True)
+    far = 0.5 + rng.standard_normal((30, d))
+    return ps, np.vstack([ps.points, on_flat, on_flat + nudge, far])
+
+
+FLAT_CASES = [(d, n, kind) for d in (3, 20, 40) for n in (1, 2, 5, 16)
+              for kind in ("general", "collinear", "near_2flat")
+              if n - 1 < d and (kind == "general" or n >= 3 + (kind == "near_2flat"))]
+
+
+@pytest.mark.parametrize("d,n,kind", FLAT_CASES)
+def test_bracket_certifies_from_the_affine_hull_what_the_solver_decides(d, n, kind):
+    ps, queries = _flat_case(d, n, kind, seed=7 * d + n)
+    assert ps._flat is not None and ps._flat[0].shape == (d, ps.n - 1)
+    solver = hull.project_batch(ps, queries)
+    fine = ~solver.stalled
+    oracle = np.array([_nnls_distance(ps.points, x) for x in queries])
+    cut = 0
+    for r in (0.0, 1e-9, 0.05 * math.sqrt(d), 1.0):
+        cut += int(hull._beyond_flat(ps, queries, r + hull._solver_slack(r)).sum())
+        for start in (None, solver.active):
+            inside, outside, rows, proj = hull.bracket(ps, queries, r, r, start)
+            assert not np.any(inside & outside)
+            assert np.array_equal(rows, np.flatnonzero(~(inside | outside)))
+            assert np.all(solver.distance[inside & fine] <= r)
+            assert np.all(solver.distance[outside & fine] > r)
+            decided = np.abs(oracle - r) > 1e-6 * (1.0 + r)
+            assert np.all(oracle[inside & decided] <= r)
+            assert np.all(oracle[outside & decided] > r)
+    assert cut > 0  # the far queries, at least, were settled by the cut
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_bracket_cut_at_one_vertex_and_on_the_flat_at_zero_radius(n):
+    # At r = 0 the solver slack is zero: only the cut's own margin keeps
+    # a vertex, whose computed residual is rounding noise, from being
+    # certified beyond the hull.
+    ps, queries = _flat_case(20, n, "general", seed=n)
+    _, outside, _, _ = hull.bracket(ps, queries[:ps.n], 0.0, 0.0)
+    assert not outside.any()
+    if n == 1:
+        # One vertex: the cut is the exact distance to it.
+        u = queries - ps.points[0]
+        dist = np.linalg.norm(u, axis=1)
+        assert np.array_equal(hull._beyond_flat(ps, queries, 0.5), dist > 0.5 + 1e-13 * dist)
+
+
+@pytest.mark.parametrize("n", [5, 16])
+def test_point_sets_spanning_the_space_store_no_affine_basis(n):
+    ps, queries = _flat_case(3, n, "general", seed=n)
+    assert ps._flat is None
+    solver = hull.project_batch(ps, queries)
+    inside, outside, rows, proj = hull.bracket(ps, queries, 0.1, 0.1)
+    inside[rows] = proj.distance <= 0.1
+    fine = ~solver.stalled
+    assert np.array_equal(inside[fine], (solver.distance <= 0.1)[fine])
